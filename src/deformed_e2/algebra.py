@@ -146,11 +146,6 @@ class OperatorPoly:
         idx = {"U": (1, 0, 0), "V": (0, 1, 0), "J": (0, 0, 1)}
         return cls({idx[name]: 1.0}, theta)
 
-    @classmethod
-    def from_terms(cls, mapping, theta):
-        """Build from {(a, b, c): coefficient}; a convenience alias."""
-        return cls(mapping, theta)
-
     # ---- inspection ----
 
     def coeff(self, a, b, c):

@@ -28,6 +28,7 @@ from .models import (
     BOUNDARY,
     BROKEN,
     BOUNDARY_TOL,
+    CERT_TOL,
     SYMMETRIC,
     BrokenPhaseError,
     HamiltonianCoeffs,
@@ -149,7 +150,13 @@ def _check_keys(cfg, allowed, where="config"):
 def _number(value, name):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return value
 
 
 def _fixed_params(cfg, model):
@@ -244,10 +251,10 @@ def _classify_point(payload):
     if model == "general-coeffs":
         coeffs = _coeffs_from_values(values)
         params, residual = solve_generic_numeric(coeffs, theta, seed=seed)
-        phase = SYMMETRIC if residual <= 1e-9 else BROKEN
+        phase = SYMMETRIC if residual <= CERT_TOL else BROKEN
         # margin: distance of the certificate residual from its threshold
         return index, (theta, params.lam.real, params.lam.imag, params.rho,
-                       params.tau, phase, 1e-9 - residual, None)
+                       params.tau, phase, CERT_TOL - residual, None)
     mode = "special" if model == "pt5-special" else "general"
     mu = _mu_from_values(model, values)
     verdict = classify_region(mu, theta, mode=mode)
@@ -648,7 +655,7 @@ def cmd_hermitize(cfg):
                 "dyson": _dyson_doc(params),
                 "residual": residual,
                 "h": _coeff_doc(conj),
-                "certified": bool(residual <= 1e-9),
+                "certified": bool(residual <= CERT_TOL),
             }
     except ConfigError:
         raise

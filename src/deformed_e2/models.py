@@ -41,7 +41,7 @@ import numpy as np
 from scipy.optimize import brentq, least_squares, minimize
 
 from .algebra import OperatorPoly
-from .dyson import DysonParams, adjoint_poly
+from .dyson import DysonParams, adjoint_generator_closed
 
 SYMMETRIC = "Symmetric"
 BROKEN = "Broken"
@@ -51,10 +51,19 @@ BOUNDARY = "Boundary"
 # exceptional-point bisection stops at this bracket width.
 BOUNDARY_TOL = 1e-9
 
+# A numerically solved Dyson map is certified when the max-norm of its
+# Hermiticity residuals is at most this.
+CERT_TOL = 1e-9
+
 # The ten basis monomials in c_1..c_10 order.
 _BASIS = ((0, 0, 2), (0, 0, 1), (1, 0, 0), (0, 1, 0), (1, 0, 1),
           (0, 1, 1), (2, 0, 0), (0, 2, 0), (1, 1, 0), (0, 0, 0))
 _BASIS_INDEX = {m: j for j, m in enumerate(_BASIS)}
+
+# Each basis monomial as an ordered product of two factors from
+# (1, U, V, J), indexed 0..3: J^2 = J*J, J = 1*J, ..., UV = U*V, 1 = 1*1.
+_LEFT = np.array([3, 0, 0, 0, 1, 2, 1, 2, 1, 0])
+_RIGHT = np.array([3, 3, 1, 2, 3, 3, 1, 2, 2, 0])
 
 
 class BrokenPhaseError(ValueError):
@@ -204,17 +213,52 @@ def extract_coeffs(p):
     return HamiltonianCoeffs(tuple(c))
 
 
+def product_table(theta):
+    """The 4x4x10 table of normal-ordered products of (1, U, V, J) pairs.
+
+    table[k, l] holds the c_1..c_10 of g_k g_l; it depends on theta only.
+    """
+    gens = [OperatorPoly.identity(theta)]
+    gens += [OperatorPoly.generator(g, theta) for g in ("U", "V", "J")]
+    table = np.zeros((4, 4, 10), dtype=complex)
+    for k, left in enumerate(gens):
+        for l, right in enumerate(gens):
+            table[k, l] = extract_coeffs(left * right).c
+    return table
+
+
+def conjugation_matrix(params, table=None):
+    """The 10x10 matrix M with eta H(c) eta^-1 = H(M @ c).
+
+    Conjugation by a linear exponent maps span{1, U, V, J} into itself, so
+    it is linear on the degree-2 coefficients: each basis monomial g_i g_j
+    goes to img(g_i) img(g_j), expanded through `product_table`.  Pass the
+    table of params.theta to reuse it across calls.
+    """
+    if table is None:
+        table = product_table(params.theta)
+    # column k: the (1, U, V, J) components of the image of factor k
+    s = np.zeros((4, 4), dtype=complex)
+    s[0, 0] = 1.0
+    for k, g in enumerate(("U", "V", "J"), start=1):
+        img = adjoint_generator_closed(params, g)
+        s[:, k] = (img.s0, img.sU, img.sV, img.sJ)
+    return np.einsum("kln,km,lm->nm", table, s[:, _LEFT], s[:, _RIGHT])
+
+
 def constraint_residuals(coeffs, theta):
     """The ten signed Hermiticity residuals, all zero iff H = H^dagger.
 
     Ordered as [beta1, beta2, beta3 - alpha6/2, beta4 + alpha5/2, beta5,
-    beta6, beta7, beta8, beta9, beta10 + theta*alpha9/2].
+    beta6, beta7, beta8, beta9, beta10 + theta*alpha9/2].  `coeffs` is a
+    HamiltonianCoeffs or a length-10 complex array of c_1..c_10.
     """
-    a, b = coeffs.alpha, coeffs.beta
-    return np.array([
-        b(1), b(2), b(3) - a(6) / 2, b(4) + a(5) / 2, b(5),
-        b(6), b(7), b(8), b(9), b(10) + theta * a(9) / 2,
-    ])
+    c = np.asarray(getattr(coeffs, "c", coeffs), dtype=complex)
+    r = c.imag.copy()
+    r[2] -= c[5].real / 2
+    r[3] += c[4].real / 2
+    r[9] += theta * c[8].real / 2
+    return r
 
 
 def arccoth(x):
@@ -303,6 +347,15 @@ def mu3_deformed(mu, lam, theta):
     ch, sh = math.cosh(lam), math.sinh(lam)
     if sh == 0:
         raise ValueError("lambda = 0 is singular in the (1+cosh)/sinh term")
+    return _mu3_from_hyperbolic(mu, ch, sh, theta)
+
+
+def _mu3_from_hyperbolic(mu, ch, sh, theta):
+    """`mu3_deformed` given cosh and sinh of lambda, as floats or arrays.
+
+    Arrays go through the same operation order as floats, so each entry is
+    bitwise the scalar value.
+    """
     ab = MuAbbrev.from_mu(mu)
     mu56 = (mu.mu6 * ch - mu.mu5 * sh) / (2 * mu.mu1 * (1 + ch))
     mu68 = mu.mu6 ** 2 / (4 * mu.mu1) + mu.mu8
@@ -358,29 +411,41 @@ _LAM_GRID = np.concatenate([
     -np.logspace(math.log10(30.0), -6, 200),
     np.logspace(-6, math.log10(30.0), 200),
 ])
+# cosh/sinh of the grid from `math`, as `mu3_deformed` computes them (numpy's
+# can differ in the last ulp, which would move brackets and misses)
+_GRID_COSH = np.array([math.cosh(x) for x in _LAM_GRID])
+_GRID_SINH = np.array([math.sinh(x) for x in _LAM_GRID])
+# a bracket never spans lambda = 0, where F has a pole
+_GRID_SPLIT = (_LAM_GRID[:-1] < 0) & (_LAM_GRID[1:] > 0)
+
+
+def _mu3_grid_values(mu, theta):
+    """F(lam) = mu3_deformed(mu, lam, theta) - mu3 at every _LAM_GRID point."""
+    with np.errstate(all="ignore"):
+        return _mu3_from_hyperbolic(mu, _GRID_COSH, _GRID_SINH, theta) - mu.mu3
 
 
 def _deformed_mu3_root(mu, theta):
-    """(lam, min |F|) with lam a real root of the mu3 condition, or None."""
-    def f(lam):
-        return mu3_deformed(mu, lam, theta) - mu.mu3
+    """(lam, min |F|) with lam a real root of the mu3 condition, or None.
 
-    vals = np.array([f(x) for x in _LAM_GRID])
-    finite = np.isfinite(vals)
-    best_miss = math.inf
-    for i in range(len(_LAM_GRID) - 1):
-        if not (finite[i] and finite[i + 1]):
-            continue
+    The first grid interval (in grid order) holding a zero or a sign change
+    of F gives the root; otherwise min |F| runs over all finite intervals.
+    """
+    vals = _mu3_grid_values(mu, theta)
+    fa, fb = vals[:-1], vals[1:]
+    usable = np.isfinite(fa) & np.isfinite(fb) & ~_GRID_SPLIT
+    with np.errstate(all="ignore"):
+        hits = np.flatnonzero(usable & ((fa == 0) | (fa * fb < 0)))
+    if hits.size:
+        i = hits[0]
         a, b = _LAM_GRID[i], _LAM_GRID[i + 1]
-        if a < 0 < b:
-            continue  # F has a pole at lambda = 0
-        fa, fb = vals[i], vals[i + 1]
-        if fa == 0:
+        if fa[i] == 0:
             return float(a), 0.0
-        if fa * fb < 0:
-            return float(brentq(f, a, b, xtol=1e-12)), 0.0
-        best_miss = min(best_miss, abs(fa), abs(fb))
-    return None, best_miss
+        root = brentq(lambda lam: mu3_deformed(mu, lam, theta) - mu.mu3,
+                      a, b, xtol=1e-12)
+        return float(root), 0.0
+    miss = np.minimum(np.abs(fa), np.abs(fb))[usable].min(initial=math.inf)
+    return None, float(miss)
 
 
 def classify_region(mu, theta, mode="general"):
@@ -564,18 +629,19 @@ def solve_generic_numeric(coeffs, theta, seed=0):
     """Search real (lam, rho, tau) Hermitizing the given Hamiltonian.
 
     Works for any of the invariant families (no tau = 0 assumption).
-    Multi-start quasi-Newton on the summed squared Hermiticity residuals,
-    polished by nonlinear least squares; returns the best parameters and
-    the max-norm residual.  A residual below 1e-9 certifies a numerically
-    Hermitizing real map (Symmetric phase); failure to find one is only a
-    candidate for the broken phase, never a proof.
+    Multi-start quasi-Newton on the summed squared Hermiticity residuals of
+    `conjugation_matrix(params) @ c`, each start polished by nonlinear
+    least squares.  Returns at the first start whose max-norm residual is
+    at most CERT_TOL, which certifies a numerically Hermitizing real map
+    (Symmetric phase); otherwise returns the best of all starts.  Failure
+    to certify is only a candidate for the broken phase, never a proof.
     """
-    ham = build_general(coeffs, theta)
+    c = np.array(coeffs.c)
+    table = product_table(theta)
 
     def resid(x):
         params = DysonParams(float(x[0]), float(x[1]), float(x[2]), theta)
-        r = constraint_residuals(extract_coeffs(adjoint_poly(params, ham)),
-                                 theta)
+        r = constraint_residuals(conjugation_matrix(params, table) @ c, theta)
         return np.where(np.isfinite(r), r, 1e50)
 
     def objective(x):
@@ -596,6 +662,8 @@ def solve_generic_numeric(coeffs, theta, seed=0):
         r = float(np.max(np.abs(resid(pol.x))))
         if r < best_r:
             best_x, best_r = pol.x, r
+        if best_r <= CERT_TOL:
+            break
     if not math.isfinite(best_r):
         raise ArithmeticError("objective non-finite at every optimum")
     params = DysonParams(float(best_x[0]), float(best_x[1]),

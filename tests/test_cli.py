@@ -257,3 +257,38 @@ def test_verify_subcommand(capsys, tmp_path):
 
 def test_missing_config_is_a_config_error():
     assert cli.main(["classify", "-c", "no/such/file.json"]) == 2
+
+
+def test_nan_fixed_parameter_is_a_config_error(capsys):
+    code = cli.main(["classify", "-c", MU3_SWEEP, "--set", "fixed.mu4=NaN",
+                     "--workers", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "fixed.mu4 must be finite" in captured.err
+
+
+def test_infinite_theta_is_a_config_error(capsys):
+    code = cli.main(["hermitize", "-c", "configs/hermitize_special.json",
+                     "--set", "theta=Infinity"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "theta must be finite" in captured.err
+
+
+def test_nan_theta_spectrum_is_a_config_error(capsys):
+    code = cli.main(["spectrum", "-c", "configs/spectrum_fock_pairs.json",
+                     "--set", "theta=NaN"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "theta must be finite" in captured.err
+
+
+def test_integer_beyond_float_range_is_a_config_error(capsys):
+    code = cli.main(["hermitize", "-c", "configs/hermitize_special.json",
+                     "--set", "theta=" + "9" * 400])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "theta must be finite" in captured.err

@@ -10,10 +10,13 @@ from deformed_e2 import (
     hermiticity_residual,
     max_coeff_diff,
 )
-from deformed_e2.dyson import DysonParams, adjoint_poly
+from deformed_e2 import models
+from deformed_e2.dyson import SERIES_CUTOFF, DysonParams, adjoint_poly
 from deformed_e2.models import (
+    _LAM_GRID,
     BOUNDARY,
     BROKEN,
+    CERT_TOL,
     SYMMETRIC,
     BrokenPhaseError,
     DegenerateLambdaError,
@@ -24,11 +27,13 @@ from deformed_e2.models import (
     build_general,
     build_pt5,
     classify_region,
+    conjugation_matrix,
     constraint_residuals,
     extract_coeffs,
     find_exceptional_point,
     hermitian_counterpart_pt5,
     mu3_deformed,
+    product_table,
     rho_of_lambda,
     solve_generic_numeric,
     solve_pt5_special,
@@ -371,3 +376,123 @@ def test_generic_matches_special_on_worked_family():
     # the produced hermitian operators on the J-diagonal part instead
     h_num = adjoint_poly(DysonParams(params.lam, params.rho, params.tau, 12.0), ham)
     assert hermiticity_residual(h_num) < 1e-8
+
+
+def _conjugation_draws(n):
+    """Seeded (params, c, theta), with the lam -> 0 and theta = 0 edges."""
+    rng = np.random.default_rng(314)
+    for k in range(n):
+        theta = 0.0 if k % 7 == 0 else float(rng.uniform(-4.0, 4.0))
+        lam, rho, tau = (float(x) for x in rng.uniform(-2.0, 2.0, 3))
+        if k % 5 == 1:
+            lam *= 0.9 * SERIES_CUTOFF / 2.0   # series branch
+        elif k % 5 == 2:
+            lam = 0.0
+        c = rng.uniform(-1.0, 1.0, 10) + 1j * rng.uniform(-1.0, 1.0, 10)
+        yield DysonParams(lam, rho, tau, theta), c, theta
+
+
+def test_conjugation_matrix_matches_adjoint_poly():
+    worst = {"closed": 0.0, "oracle": 0.0}
+    for params, c, theta in _conjugation_draws(210):
+        got = conjugation_matrix(params, product_table(theta)) @ c
+        assert np.array_equal(got, conjugation_matrix(params) @ c)
+        ham = build_general(HamiltonianCoeffs(tuple(c)), theta)
+        for route in worst:
+            ref = np.array(extract_coeffs(
+                adjoint_poly(params, ham, route=route)).c)
+            err = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+            worst[route] = max(worst[route], err)
+    assert worst["closed"] <= 1e-12 and worst["oracle"] <= 1e-12, worst
+
+
+def test_conjugation_matrix_identity_and_product_table():
+    # lam = rho = tau = 0 is the identity map, at any theta
+    assert np.array_equal(conjugation_matrix(DysonParams(0.0, 0.0, 0.0, 2.0)),
+                          np.eye(10))
+    # J U = UJ - iV and V U = UV - i theta in normal order
+    table = product_table(2.0)
+    ju, vu = np.zeros(10, complex), np.zeros(10, complex)
+    ju[4], ju[3] = 1.0, -1j
+    vu[8], vu[9] = 1.0, -2j
+    assert np.array_equal(table[3, 1], ju)
+    assert np.array_equal(table[2, 1], vu)
+
+
+def _counting_least_squares(monkeypatch):
+    calls = []
+    real = models.least_squares
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(models, "least_squares", counted)
+    return calls
+
+
+def test_solver_stops_at_first_certified_start(monkeypatch):
+    rng = np.random.default_rng(8)
+    theta = 1.3
+    a = rng.uniform(-1.0, 1.0, 10)
+    b = np.zeros(10)
+    b[2], b[3], b[9] = a[5] / 2, -a[4] / 2, -theta * a[8] / 2
+    h = build_general(HamiltonianCoeffs(tuple(a + 1j * b)), theta)
+    planted = DysonParams(0.6, -0.4, 0.3, theta)
+    ham = adjoint_poly(planted.inverse(), h, route="oracle")
+    calls = _counting_least_squares(monkeypatch)
+    params, residual = solve_generic_numeric(extract_coeffs(ham), theta)
+    assert len(calls) == 1
+    assert residual <= CERT_TOL
+    assert hermiticity_residual(adjoint_poly(params, ham)) < 1e-8
+
+
+def test_solver_generic_input_runs_every_start(monkeypatch):
+    rng = np.random.default_rng(5)
+    z = rng.uniform(-1.0, 1.0, 10) + 1j * rng.uniform(-1.0, 1.0, 10)
+    calls = _counting_least_squares(monkeypatch)
+    params, residual = solve_generic_numeric(HamiltonianCoeffs(tuple(z)), 0.7)
+    assert len(calls) == 16
+    # best residual of the same 16 starts with every residual computed by
+    # adjoint_poly; the finite-difference optimizers settle within ~1e-8
+    # relative of each other when the residual differs only in rounding
+    assert residual == pytest.approx(0.5877098164951151, rel=2e-8)
+
+
+def _scalar_mu3_root(mu, theta):
+    """The grid scan as a scalar loop over mu3_deformed."""
+    def f(lam):
+        return mu3_deformed(mu, lam, theta) - mu.mu3
+
+    vals = np.array([f(x) for x in _LAM_GRID])
+    finite = np.isfinite(vals)
+    best_miss = math.inf
+    for i in range(len(_LAM_GRID) - 1):
+        if not (finite[i] and finite[i + 1]):
+            continue
+        a, b = _LAM_GRID[i], _LAM_GRID[i + 1]
+        if a < 0 < b:
+            continue
+        fa, fb = vals[i], vals[i + 1]
+        if fa == 0:
+            return vals, (float(a), 0.0)
+        if fa * fb < 0:
+            return vals, (float(models.brentq(f, a, b, xtol=1e-12)), 0.0)
+        best_miss = min(best_miss, abs(fa), abs(fb))
+    return vals, (None, best_miss)
+
+
+def test_vectorized_mu3_grid_matches_scalar_loop():
+    rng = np.random.default_rng(2718)
+    outcomes = set()
+    for _ in range(1000):
+        m = rng.uniform(-2.0, 2.0, 9)
+        m[0] = math.copysign(rng.uniform(0.2, 2.0), m[0])
+        mu = Mu(*(float(x) for x in m))
+        theta = float(rng.uniform(0.05, 6.0))
+        vals, want = _scalar_mu3_root(mu, theta)
+        assert np.array_equal(models._mu3_grid_values(mu, theta), vals)
+        got = models._deformed_mu3_root(mu, theta)
+        assert got == want
+        outcomes.add(got[0] is None)
+    assert outcomes == {True, False}   # both roots and misses were drawn
