@@ -11,7 +11,6 @@ representation failure.
 """
 
 import argparse
-import cmath
 import csv
 import io
 import json
@@ -30,10 +29,10 @@ from .models import (
     BOUNDARY_TOL,
     CERT_TOL,
     SYMMETRIC,
+    UNRESOLVED,
     BrokenPhaseError,
     HamiltonianCoeffs,
     Mu,
-    arccoth,
     build_general,
     build_pt5,
     classify_region,
@@ -44,6 +43,7 @@ from .models import (
     solve_generic_numeric,
     solve_pt5_special,
     toy_dyson_params,
+    toy_lambda,
     toy_model,
     toy_mu,
     toy_spectrum,
@@ -75,6 +75,9 @@ _MODEL_PARAMS = {
     "toy": ("mu1", "mu3", "mu4"),
     "general-coeffs": _COEFF_NAMES + tuple(f"{c}_im" for c in _COEFF_NAMES),
 }
+
+# classify rejects a grid of more points than this before building it
+MAX_GRID_POINTS = 10 ** 6
 
 _CSV_FIELDS = ("theta", "lambda_re", "lambda_im", "rho", "tau",
                "verdict", "margin_ineq1", "margin_ineq2")
@@ -159,10 +162,15 @@ def _number(value, name):
     return value
 
 
-def _fixed_params(cfg, model):
+def _fixed_object(cfg):
     fixed = cfg.get("fixed", {})
     if not isinstance(fixed, dict):
         raise ConfigError("fixed must be a name -> value object")
+    return fixed
+
+
+def _fixed_params(cfg, model):
+    fixed = _fixed_object(cfg)
     allowed = _MODEL_PARAMS[model]
     out = {}
     for name, value in fixed.items():
@@ -173,13 +181,46 @@ def _fixed_params(cfg, model):
     return out
 
 
+def _toy_values(cfg, allowed):
+    """The toy model's fixed values, with exactly one of lam and mu3."""
+    fixed = _fixed_object(cfg)
+    for name in fixed:
+        if name not in allowed:
+            raise ConfigError(f"parameter {name!r} is not valid for the "
+                              f"toy model (allowed: {list(allowed)})")
+    vals = {k: _number(v, f"fixed.{k}") for k, v in fixed.items()}
+    if ("lam" in vals) == ("mu3" in vals):
+        raise ConfigError("toy model needs exactly one of fixed.lam, "
+                          "fixed.mu3")
+    return vals
+
+
+def _toy_lam(vals):
+    """The real lambda of a toy member given by lam or by mu3."""
+    if "lam" in vals:
+        return vals["lam"]
+    return toy_lambda(vals["mu3"], vals.get("mu4", 0.0)).real
+
+
+def _seed(cfg):
+    seed = cfg.get("seed", 0)
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise ConfigError("seed must be an integer")
+    return seed
+
+
+def _require_mu1(fixed, swept):
+    if "mu1" not in fixed and "mu1" not in swept:
+        raise ConfigError("mu1 must be fixed or swept")
+
+
 def _axes(cfg, model):
     axes = cfg.get("axes")
     if not isinstance(axes, list) or not 1 <= len(axes) <= 2:
         raise ConfigError("axes must be a list of one or two sweeps")
     allowed = set(_MODEL_PARAMS[model]) | {"theta"}
     seen = set()
-    parsed = []
+    sweeps = []
     for i, ax in enumerate(axes):
         if not isinstance(ax, dict):
             raise ConfigError(f"axes[{i}] must be an object")
@@ -196,8 +237,13 @@ def _axes(cfg, model):
             raise ConfigError(f"axes[{i}].steps must be an integer >= 2")
         lo = _number(ax.get("min"), f"axes[{i}].min")
         hi = _number(ax.get("max"), f"axes[{i}].max")
-        parsed.append((name, [float(v) for v in np.linspace(lo, hi, steps)]))
-    return parsed
+        sweeps.append((name, lo, hi, steps))
+    total = math.prod(steps for *_, steps in sweeps)
+    if total > MAX_GRID_POINTS:
+        raise ConfigError(f"grid has {total} points; at most "
+                          f"{MAX_GRID_POINTS} are allowed")
+    return [(name, [float(v) for v in np.linspace(lo, hi, steps)])
+            for name, lo, hi, steps in sweeps]
 
 
 def _coeffs_from_values(values):
@@ -251,7 +297,8 @@ def _classify_point(payload):
     if model == "general-coeffs":
         coeffs = _coeffs_from_values(values)
         params, residual = solve_generic_numeric(coeffs, theta, seed=seed)
-        phase = SYMMETRIC if residual <= CERT_TOL else BROKEN
+        # a failed search is no proof of the broken phase
+        phase = SYMMETRIC if residual <= CERT_TOL else UNRESOLVED
         # margin: distance of the certificate residual from its threshold
         return index, (theta, params.lam.real, params.lam.imag, params.rho,
                        params.tau, phase, CERT_TOL - residual, None)
@@ -271,16 +318,13 @@ def _classify_toy(values, theta):
     mu1 = values.get("mu1", 1.0)
     mu3 = values.get("mu3", 0.0)
     mu4 = values.get("mu4", 0.0)
-    if mu4 == 0:
-        return (theta, None, None, None, None, BOUNDARY, math.nan, None)
-    ratio = mu3 / mu4
-    margin = abs(ratio) - 1
-    if abs(margin) <= BOUNDARY_TOL:
+    margin = abs(mu3 / mu4) - 1 if mu4 != 0 else math.nan
+    if mu4 == 0 or abs(margin) <= BOUNDARY_TOL:
         return (theta, None, None, None, None, BOUNDARY, margin, None)
-    lam = 2 * arccoth(ratio)
-    rho = lam * mu4 / (2 * mu1 * cmath.sinh(lam / 2) ** 2)
+    params = toy_dyson_params(mu1, mu4, toy_lambda(mu3, mu4), theta)
     phase = SYMMETRIC if margin > 0 else BROKEN
-    return (theta, lam.real, lam.imag, rho, 0.0, phase, margin, None)
+    return (theta, params.lam.real, params.lam.imag, params.rho, params.tau,
+            phase, margin, None)
 
 
 def cmd_classify(cfg, workers_flag):
@@ -296,12 +340,9 @@ def cmd_classify(cfg, workers_flag):
     theta_fixed = None
     if "theta" not in axis_names:
         theta_fixed = _number(cfg.get("theta", 0.0), "theta")
-    if model != "general-coeffs" and "mu1" not in fixed \
-            and "mu1" not in axis_names:
-        raise ConfigError("mu1 must be fixed or swept")
-    seed = cfg.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError("seed must be an integer")
+    if model != "general-coeffs":
+        _require_mu1(fixed, axis_names)
+    seed = _seed(cfg)
 
     # row-major grid: first axis is the outer loop
     payloads = []
@@ -390,24 +431,17 @@ def _spectrum_operator(model, values, theta, which):
     """(poly, params echo extras) for the requested operator."""
     extras = {}
     if model == "toy":
-        lam = values.get("lam")
-        mu3 = values.get("mu3")
-        h, eps, shift = toy_model(values.get("mu1", 1.0),
-                                  values.get("mu4", 0.0),
-                                  lam=lam, theta=theta, mu3=mu3)
-        if lam is None:
-            lam = 2 * arccoth(mu3 / values["mu4"]).real
-        extras = {"epsilon": eps, "lambda": float(lam),
-                  "shift_stated": shift}
+        mu1, mu4 = values.get("mu1", 1.0), values.get("mu4", 0.0)
+        _, eps, shift = toy_model(mu1, mu4, lam=values.get("lam"),
+                                  theta=theta, mu3=values.get("mu3"))
+        lam = _toy_lam(values)
+        extras = {"epsilon": eps, "lambda": lam, "shift_stated": shift}
         if which == "h":
             # the scalar shift moves every eigenvalue equally and its two
             # printed conventions disagree; diagonalize without it
-            poly = OperatorPoly({(0, 0, 2): values.get("mu1", 1.0),
-                                 (0, 0, 1): eps}, theta)
+            poly = OperatorPoly({(0, 0, 2): mu1, (0, 0, 1): eps}, theta)
         else:
-            poly = build_pt5(toy_mu(values.get("mu1", 1.0),
-                                    values.get("mu4", 0.0), float(lam)),
-                             theta)
+            poly = build_pt5(toy_mu(mu1, mu4, lam), theta)
         return poly, extras
     if model == "general-coeffs":
         if which != "H":
@@ -445,21 +479,10 @@ def cmd_spectrum(cfg):
     _check_keys(cfg, ("model", "fixed", "theta", "hamiltonian",
                       "representation", "modes", "output"))
     model = _require_model(cfg)
-    fixed_raw = cfg.get("fixed", {})
-    if not isinstance(fixed_raw, dict):
-        raise ConfigError("fixed must be a name -> value object")
     if model == "toy":
-        allowed = ("mu1", "mu3", "mu4", "lam")
-        for name in fixed_raw:
-            if name not in allowed:
-                raise ConfigError(f"parameter {name!r} is not valid for the "
-                                  f"toy model (allowed: {list(allowed)})")
-        fixed = {k: _number(v, f"fixed.{k}") for k, v in fixed_raw.items()}
-        if ("lam" in fixed) == ("mu3" in fixed):
-            raise ConfigError("toy model needs exactly one of fixed.lam, "
-                              "fixed.mu3")
+        fixed = _toy_values(cfg, ("mu1", "mu3", "mu4", "lam"))
     else:
-        fixed = _fixed_params({"fixed": fixed_raw}, model)
+        fixed = _fixed_params(cfg, model)
     theta = _number(cfg.get("theta", 0.0), "theta")
     which = cfg.get("hamiltonian", "h" if model == "toy" else "H")
     if which not in ("H", "h"):
@@ -536,8 +559,7 @@ def cmd_ep(cfg):
     hi = _number(sweep.get("max"), "sweep.max")
     theta = _number(cfg.get("theta", 0.0), "theta")
     tol = _number(cfg.get("tol", BOUNDARY_TOL), "tol")
-    if "mu1" not in fixed and name != "mu1":
-        raise ConfigError("mu1 must be fixed or swept")
+    _require_mu1(fixed, (name,))
     mode = "special" if model == "pt5-special" else "general"
 
     def family(t):
@@ -586,27 +608,17 @@ def cmd_hermitize(cfg):
                           "general-coeffs (use general-coeffs for arbitrary "
                           "coefficient input)")
     theta = _number(cfg.get("theta", 0.0), "theta")
-    fixed_raw = cfg.get("fixed", {})
-    if not isinstance(fixed_raw, dict):
-        raise ConfigError("fixed must be a name -> value object")
+    _fixed_object(cfg)  # its error comes before any model-specific one
 
     try:
         if model == "toy":
-            allowed = ("mu1", "mu4", "lam", "mu3")
-            for k in fixed_raw:
-                if k not in allowed:
-                    raise ConfigError(f"parameter {k!r} is not valid for the "
-                                      f"toy model (allowed: {list(allowed)})")
-            vals = {k: _number(v, f"fixed.{k}") for k, v in fixed_raw.items()}
-            if ("lam" in vals) == ("mu3" in vals):
-                raise ConfigError("toy model needs exactly one of fixed.lam, "
-                                  "fixed.mu3")
+            # each command keeps its own order of names in the error text
+            vals = _toy_values(cfg, ("mu1", "mu4", "lam", "mu3"))
             mu1 = vals.get("mu1", 1.0)
             mu4 = vals.get("mu4", 0.0)
             h, eps, shift = toy_model(mu1, mu4, lam=vals.get("lam"),
                                       theta=theta, mu3=vals.get("mu3"))
-            lam = (vals["lam"] if "lam" in vals
-                   else 2 * arccoth(vals["mu3"] / mu4).real)
+            lam = _toy_lam(vals)
             params = toy_dyson_params(mu1, mu4, lam, theta)
             conj = adjoint_poly(params, build_pt5(toy_mu(mu1, mu4, lam),
                                                   theta))
@@ -642,9 +654,7 @@ def cmd_hermitize(cfg):
                 "closed_vs_engine": max_coeff_diff(closed, conj),
             }
         else:  # general-coeffs
-            seed = cfg.get("seed", 0)
-            if not isinstance(seed, int) or isinstance(seed, bool):
-                raise ConfigError("seed must be an integer")
+            seed = _seed(cfg)
             values = _fixed_params(cfg, model)
             coeffs = _coeffs_from_values(values)
             params, residual = solve_generic_numeric(coeffs, theta, seed=seed)

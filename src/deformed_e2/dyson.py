@@ -109,19 +109,14 @@ def _lam_functions(lam):
     return ch, sh, sh / lam, one_minus_ch / lam, one_minus_ch / lam ** 2
 
 
-def adjoint_generator_closed(params, g, theta_fault=0.0):
+def adjoint_generator_closed(params, g):
     """Closed-form image of a generator under eta . eta^{-1}.
 
     For example eta U eta^{-1} = (U + rho*theta/lam) cosh(lam)
     - i (V + tau*theta/lam) sinh(lam) - rho*theta/lam, regrouped here so each
     coefficient stays finite as lam -> 0.
-
-    `theta_fault` adds a deliberate offset to theta inside this formula only.
-    It exists for the verification suite's fault-injection mode, which checks
-    that the closed-form-vs-oracle comparison actually detects a corrupted
-    constant term; leave it at 0.0 otherwise.
     """
-    th = params.theta + theta_fault
+    th = params.theta
     ch, sh, s1, c2, c3 = _lam_functions(params.lam)
     rho, tau = complex(params.rho), complex(params.tau)
     if g == "U":
@@ -169,7 +164,7 @@ def adjoint_generator_oracle(params, g):
     return AdjointImage(s0=col[3], sU=col[0], sV=col[1], sJ=col[2])
 
 
-def adjoint_poly(params, p, route="closed", theta_fault=0.0):
+def adjoint_poly(params, p, route="closed"):
     """eta p eta^{-1} for an arbitrary polynomial.
 
     Each monomial U^a V^b J^c maps to the normal-ordered product
@@ -181,7 +176,7 @@ def adjoint_poly(params, p, route="closed", theta_fault=0.0):
             f"polynomial theta {p.theta} != params theta {params.theta}"
         )
     if route == "closed":
-        images = {g: adjoint_generator_closed(params, g, theta_fault)
+        images = {g: adjoint_generator_closed(params, g)
                   for g in ("U", "V", "J")}
     elif route == "oracle":
         images = {g: adjoint_generator_oracle(params, g) for g in ("U", "V", "J")}

@@ -46,6 +46,7 @@ from .dyson import DysonParams, adjoint_generator_closed
 SYMMETRIC = "Symmetric"
 BROKEN = "Broken"
 BOUNDARY = "Boundary"
+UNRESOLVED = "Unresolved"  # no certified map found; not a broken-phase proof
 
 # |ratio| within this distance of 1 is reported as Boundary, and the
 # exceptional-point bisection stops at this bracket width.
@@ -569,9 +570,12 @@ def toy_mu(mu1, mu4, lam):
 
 def toy_dyson_params(mu1, mu4, lam, theta):
     """The Dyson map of the toy family member at the given lam:
-    rho = lam mu4/(2 mu1 sinh^2(lam/2)), tau = 0."""
-    rho = lam * mu4 / (2 * mu1 * math.sinh(lam / 2) ** 2)
-    return DysonParams(float(lam), rho, 0.0, theta)
+    rho = lam mu4/(2 mu1 sinh^2(lam/2)), tau = 0.  A complex lam (as from
+    `toy_lambda`, complex on the broken branch) takes complex arithmetic."""
+    # a real lam stays in float arithmetic, whose squaring rounds differently
+    sinh = cmath.sinh if isinstance(lam, complex) else math.sinh
+    rho = lam * mu4 / (2 * mu1 * sinh(lam / 2) ** 2)
+    return DysonParams(lam, rho, 0.0, theta)
 
 
 def toy_lambda(mu3, mu4):

@@ -1,4 +1,3 @@
-import cmath
 import math
 
 import numpy as np
@@ -13,38 +12,14 @@ from deformed_e2.dyson import (
     adjoint_poly,
 )
 
-CLOSED_VS_ORACLE_TOL = 1e-12
-UNDEFORMED_TOL = 1e-13
-
-
-def random_params(rng, complex_ok=False):
-    vals = rng.uniform(-2, 2, 4)
-    if complex_ok:
-        vals = vals + 1j * rng.uniform(-1, 1, 4)
-        return DysonParams(lam=complex(vals[0]), rho=complex(vals[1]),
-                           tau=complex(vals[2]), theta=float(vals[3].real))
-    return DysonParams(lam=float(vals[0]), rho=float(vals[1]),
-                       tau=float(vals[2]), theta=float(vals[3]))
-
-
-def test_closed_matches_oracle_real_params():
-    # the closed forms against a matrix exponential of the ad action
-    rng = np.random.default_rng(17)
-    worst = 0.0
-    for _ in range(200):
-        params = random_params(rng)
-        for g in ("U", "V", "J"):
-            worst = max(worst,
-                        adjoint_generator_closed(params, g).max_diff(
-                            adjoint_generator_oracle(params, g)))
-    assert worst < CLOSED_VS_ORACLE_TOL
-
 
 def test_closed_matches_oracle_complex_params():
     rng = np.random.default_rng(18)
     worst = 0.0
     for _ in range(100):
-        params = random_params(rng, complex_ok=True)
+        vals = rng.uniform(-2, 2, 4) + 1j * rng.uniform(-1, 1, 4)
+        params = DysonParams(lam=complex(vals[0]), rho=complex(vals[1]),
+                             tau=complex(vals[2]), theta=float(vals[3].real))
         for g in ("U", "V", "J"):
             worst = max(worst,
                         adjoint_generator_closed(params, g).max_diff(
@@ -103,27 +78,6 @@ def test_lambda_zero_exact():
     for g in ("U", "V"):
         img = adjoint_generator_closed(params, g)
         assert img.max_diff(adjoint_generator_oracle(params, g)) < 1e-13
-
-
-def test_undeformed_limit():
-    # at theta = 0 the scalar shifts vanish and U, V decouple from rho, tau
-    rng = np.random.default_rng(19)
-    for _ in range(100):
-        lam, rho, tau = rng.uniform(-2, 2, 3)
-        params = DysonParams(lam=float(lam), rho=float(rho), tau=float(tau), theta=0.0)
-        ch, sh = math.cosh(lam), math.sinh(lam)
-        img_u = adjoint_generator_closed(params, "U")
-        assert abs(img_u.s0) < UNDEFORMED_TOL
-        assert abs(img_u.sU - ch) < UNDEFORMED_TOL
-        assert abs(img_u.sV + 1j * sh) < UNDEFORMED_TOL
-        img_v = adjoint_generator_closed(params, "V")
-        assert abs(img_v.s0) < UNDEFORMED_TOL
-        assert abs(img_v.sU - 1j * sh) < UNDEFORMED_TOL
-        assert abs(img_v.sV - ch) < UNDEFORMED_TOL
-        img_j = adjoint_generator_closed(params, "J")
-        assert abs(img_j.s0) < UNDEFORMED_TOL
-        assert abs(img_j.sU - (-1j * tau * sh / lam + rho * (1 - ch) / lam)) < 1e-12
-        assert abs(img_j.sV - (1j * rho * sh / lam + tau * (1 - ch) / lam)) < 1e-12
 
 
 def test_ad_matrix_layout():

@@ -4,12 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from deformed_e2 import (
-    OperatorPoly,
-    dagger,
-    hermiticity_residual,
-    max_coeff_diff,
-)
+from deformed_e2 import hermiticity_residual, max_coeff_diff
 from deformed_e2 import models
 from deformed_e2.dyson import SERIES_CUTOFF, DysonParams, adjoint_poly
 from deformed_e2.models import (
@@ -84,14 +79,6 @@ def test_abbreviations_worked_values():
     assert ab.mu24 == pytest.approx(-2.5)
     assert ab.mu78 == pytest.approx(0.0)
     assert ab.mu19 == pytest.approx(0.0)
-
-
-def test_special_choice_values():
-    base = Mu(mu1=1.0, mu2=0.0, mu3=1.0, mu4=2.0, mu5=1.0, mu6=1.0, mu8=0.0)
-    assert special_mu7(base) == pytest.approx(0.5)
-    assert special_mu9(base) == pytest.approx(0.5)
-    assert WORKED.mu7 == pytest.approx(0.5)
-    assert WORKED.mu9 == pytest.approx(0.5)
 
 
 def test_build_pt5_is_pt5_invariant():
@@ -222,12 +209,6 @@ def test_classify_region_worked_triple():
     assert v0.lam.imag == pytest.approx(math.pi / 2, abs=1e-12)
 
 
-def test_classify_general_mode_agrees_at_worked_point():
-    v = classify_region(WORKED, 12.0, mode="general")
-    assert v.phase == SYMMETRIC
-    assert v.lam == pytest.approx(HALF_LN2, abs=1e-9)
-
-
 def test_classify_special_degenerate_denominator():
     # an already-hermitian member makes the special coth ratio 0/0; the
     # classifier reports the degeneracy as Boundary with NaN margin rather
@@ -263,13 +244,6 @@ def test_exceptional_point_first_family():
         points.append(find_exceptional_point(fam, (0.5, 2.0)))
     assert all(p == pytest.approx(1.0, abs=1e-8) for p in points)
     assert max(points) - min(points) < 1e-12
-
-
-def test_exceptional_point_worked_theta():
-    def fam(t):
-        return WORKED, t
-    point = find_exceptional_point(fam, (0.0, 16.0), mode="special", tol=1e-7)
-    assert point == pytest.approx(8.0, abs=1e-6)
 
 
 def test_exceptional_point_needs_a_sign_change():
