@@ -27,7 +27,6 @@ from math import comb
 PRUNE_TOL = 1e-14
 
 # Monomials are exponent triples (a, b, c) standing for U^a V^b J^c.
-Monomial = tuple  # noqa: A001 - documented alias, not a builtin shadow
 
 
 class ThetaMismatchError(ValueError):

@@ -13,6 +13,7 @@ representation failure.
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -50,6 +51,7 @@ from .models import (
     with_special_choice,
 )
 from .representations import (
+    count_conjugate_pairs,
     diagonalize_classify,
     make_representation,
     poly_to_matrix,
@@ -210,8 +212,14 @@ def _seed(cfg):
 
 
 def _require_mu1(fixed, swept):
+    """mu1 divides the PT5 formulas: it must be fixed or swept, and never 0.
+
+    `swept` maps each swept name to the values it takes.
+    """
     if "mu1" not in fixed and "mu1" not in swept:
         raise ConfigError("mu1 must be fixed or swept")
+    if fixed.get("mu1") == 0 or 0 in swept.get("mu1", ()):
+        raise ConfigError("mu1 must be nonzero")
 
 
 def _axes(cfg, model):
@@ -290,18 +298,18 @@ def _cell(x):
 
 
 def _classify_point(payload):
-    """One grid point -> (index, raw result cells). Top level for pickling."""
-    index, model, values, theta, seed = payload
+    """One grid point -> raw result cells. Top level for pickling."""
+    model, values, theta, seed = payload
     if model == "toy":
-        return index, _classify_toy(values, theta)
+        return _classify_toy(values, theta)
     if model == "general-coeffs":
         coeffs = _coeffs_from_values(values)
         params, residual = solve_generic_numeric(coeffs, theta, seed=seed)
         # a failed search is no proof of the broken phase
         phase = SYMMETRIC if residual <= CERT_TOL else UNRESOLVED
         # margin: distance of the certificate residual from its threshold
-        return index, (theta, params.lam.real, params.lam.imag, params.rho,
-                       params.tau, phase, CERT_TOL - residual, None)
+        return (theta, params.lam.real, params.lam.imag, params.rho,
+                params.tau, phase, CERT_TOL - residual, None)
     mode = "special" if model == "pt5-special" else "general"
     mu = _mu_from_values(model, values)
     verdict = classify_region(mu, theta, mode=mode)
@@ -310,8 +318,8 @@ def _classify_point(payload):
     tau = 0.0 if lam is not None else None
     lam_re = lam.real if lam is not None else None
     lam_im = lam.imag if lam is not None else None
-    return index, (theta, lam_re, lam_im, rho, tau, verdict.phase,
-                   verdict.margin1, verdict.margin2)
+    return (theta, lam_re, lam_im, rho, tau, verdict.phase,
+            verdict.margin1, verdict.margin2)
 
 
 def _classify_toy(values, theta):
@@ -341,26 +349,15 @@ def cmd_classify(cfg, workers_flag):
     if "theta" not in axis_names:
         theta_fixed = _number(cfg.get("theta", 0.0), "theta")
     if model != "general-coeffs":
-        _require_mu1(fixed, axis_names)
+        _require_mu1(fixed, dict(axes))
     seed = _seed(cfg)
 
     # row-major grid: first axis is the outer loop
     payloads = []
-    grids = [vals for _, vals in axes]
-    shape = [len(g) for g in grids]
-    total = math.prod(shape)
-    for index in range(total):
-        coords = []
-        rem = index
-        for n in reversed(shape):
-            rem, k = divmod(rem, n)
-            coords.append(k)
-        coords.reverse()
-        values = dict(fixed)
-        for (name, vals), k in zip(axes, coords):
-            values[name] = vals[k]
-        theta = values.get("theta", theta_fixed)
-        payloads.append((index, model, values, theta, seed))
+    for point in itertools.product(*(vals for _, vals in axes)):
+        values = {**fixed, **dict(zip(axis_names, point))}
+        payloads.append((model, values, values.get("theta", theta_fixed),
+                         seed))
 
     workers = workers_flag or cfg.get("workers") or os.cpu_count() or 1
     if not isinstance(workers, int) or workers < 1:
@@ -372,8 +369,7 @@ def cmd_classify(cfg, workers_flag):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(swept_cols + list(_CSV_FIELDS))
-    for (index, cells), payload in zip(results, payloads):
-        values = payload[2]
+    for cells, (_, values, _, _) in zip(results, payloads):
         row = [_cell(values[n]) for n in swept_cols]
         row += [_cell(x) for x in cells]
         writer.writerow(row)
@@ -389,7 +385,7 @@ def _run_pool(fn, payloads, workers):
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, len(payloads) // (4 * workers))
             return list(pool.map(fn, payloads, chunksize=chunk))
-    except (OSError, PermissionError) as exc:
+    except OSError as exc:
         print(f"worker pool unavailable ({exc}); running sequentially",
               file=sys.stderr)
         return [fn(p) for p in payloads]
@@ -463,15 +459,7 @@ def _circle_report(poly, rep):
     tol = 1e-12 * max(1.0, radius)
     nonreal = [complex(z) for z in e if abs(z.imag) > tol]
     verdict = "AllReal" if not nonreal else "ConjugatePairs"
-    pairs = 0
-    pool = list(nonreal)
-    while pool:
-        z = pool.pop()
-        for k, w in enumerate(pool):
-            if abs(w - z.conjugate()) < tol:
-                pool.pop(k)
-                pairs += 1
-                break
+    pairs = count_conjugate_pairs(nonreal, lambda z: tol)
     return ([complex(z) for z in e], [True] * len(e), verdict, pairs, "")
 
 
@@ -559,7 +547,7 @@ def cmd_ep(cfg):
     hi = _number(sweep.get("max"), "sweep.max")
     theta = _number(cfg.get("theta", 0.0), "theta")
     tol = _number(cfg.get("tol", BOUNDARY_TOL), "tol")
-    _require_mu1(fixed, (name,))
+    _require_mu1(fixed, {name: (lo, hi)})
     mode = "special" if model == "pt5-special" else "general"
 
     def family(t):

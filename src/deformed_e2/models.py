@@ -87,21 +87,11 @@ class HamiltonianCoeffs:
             raise ValueError("need exactly ten coefficients c_1..c_10")
         object.__setattr__(self, "c", vals)
 
-    @classmethod
-    def zero(cls):
-        return cls((0,) * 10)
-
     def __getitem__(self, j):
         """1-based access matching the c_j labels."""
         if not 1 <= j <= 10:
             raise IndexError("coefficient index runs from 1 to 10")
         return self.c[j - 1]
-
-    def alpha(self, j):
-        return self[j].real
-
-    def beta(self, j):
-        return self[j].imag
 
 
 @dataclass(frozen=True)
@@ -394,15 +384,15 @@ def solve_pt5_special(mu, theta):
 
 
 def _ratio_test(num, den):
-    """(margin, at_boundary, diagnostic) for an |num| >= |den| inequality.
+    """(margin, at_boundary) for an |num| >= |den| inequality.
 
     A zero denominator never flags Boundary: 0/0 means the constraint is
     vacuous (satisfied with zero margin, lambda unconstrained by it) and
     |num| >= 0 with num != 0 is strictly satisfied.
     """
     if den == 0:
-        return abs(num), False, None
-    return abs(num) - abs(den), abs(abs(num / den) - 1) <= BOUNDARY_TOL, None
+        return abs(num), False
+    return abs(num) - abs(den), abs(abs(num / den) - 1) <= BOUNDARY_TOL
 
 
 # Search window for a real lambda solving the deformed mu3 condition: sign
@@ -460,6 +450,11 @@ def classify_region(mu, theta, mode="general"):
     the single condition |coth ratio| > 1 of the special-choice family.
     Boundary is returned when the deciding ratio sits within 1e-9 of 1, or
     on zero-denominator degeneracies.
+
+    A general-mode Symmetric verdict means both conditions hold separately,
+    not that one real map solves both: at mu = (1, 0, 1, 2, 1, 1, 0.5, 0.5,
+    0.5) and theta = 12 it is Symmetric, yet mu19 = 0 while mu78 != 0, so
+    coth(2 lam) = mu78/mu19 has no finite root.
     """
     if mode == "special":
         num, den = _special_ratio(mu, theta)
@@ -481,12 +476,13 @@ def classify_region(mu, theta, mode="general"):
         raise ValueError(f"unknown mode {mode!r}")
 
     ab = MuAbbrev.from_mu(mu)
-    m1, b1, d1 = _ratio_test(ab.mu78, ab.mu19)
+    m1, b1 = _ratio_test(ab.mu78, ab.mu19)
+    d2 = None  # the second condition's own Boundary witness, if any
 
     if theta == 0 or (mu.mu5 == 0 and mu.mu6 == 0):
         # at mu5 = mu6 = 0 the deformed mu3 condition collapses to the
         # undeformed coth(lambda) = mu23/mu24 for every theta
-        m2, b2, d2 = _ratio_test(ab.mu23, ab.mu24)
+        m2, b2 = _ratio_test(ab.mu23, ab.mu24)
         name2 = "|mu23| >= |mu24|"
         lam = None
         if ab.mu24 != 0 and abs(ab.mu23) != abs(ab.mu24):
@@ -495,11 +491,12 @@ def classify_region(mu, theta, mode="general"):
         name2 = "real lambda for mu3 condition"
         root, miss = _deformed_mu3_root(mu, theta)
         if root is not None:
-            m2, b2, d2, lam = 1.0, False, None, complex(root)
+            m2, b2, lam = 1.0, False, complex(root)
         elif miss <= BOUNDARY_TOL:
-            m2, b2, d2, lam = 0.0, True, "mu3 condition grazes zero", None
+            m2, b2, lam = 0.0, True, None
+            d2 = "mu3 condition grazes zero"
         else:
-            m2, b2, d2, lam = -miss, False, None, None
+            m2, b2, lam = -miss, False, None
 
     viol1 = m1 < 0 and not b1
     viol2 = m2 < 0 and not b2
@@ -508,7 +505,7 @@ def classify_region(mu, theta, mode="general"):
         return RegionVerdict(BROKEN, f"violated: {which}",
                              margin1=m1, margin2=m2, lam=lam)
     if b1 or b2:
-        which = d1 or d2 or ("first ratio at 1" if b1 else "second ratio at 1")
+        which = d2 or ("first ratio at 1" if b1 else "second ratio at 1")
         return RegionVerdict(BOUNDARY, which, margin1=m1, margin2=m2, lam=lam)
     return RegionVerdict(SYMMETRIC, "both conditions hold",
                          margin1=m1, margin2=m2, lam=lam)

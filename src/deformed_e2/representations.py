@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eig, eigh, expm
+from scipy.linalg import eig, expm
 
 # Rows/columns this close to the truncation edge are excluded from
 # interior-block algebra checks (per axis for planar).
@@ -223,6 +223,28 @@ def _greedy_match(a, b):
     return pairs
 
 
+def count_conjugate_pairs(values, tol):
+    """Number of conjugate pairs among `values`.
+
+    Values are taken from the end of the list; each is paired with the
+    remaining value nearest its conjugate when that distance is below
+    tol(z), and both leave the pool.
+    """
+    pool = list(values)
+    pairs = 0
+    while pool:
+        z = pool.pop()
+        best, best_d = None, None
+        for k, w in enumerate(pool):
+            d = abs(w - z.conjugate())
+            if best_d is None or d < best_d:
+                best, best_d = k, d
+        if best is not None and best_d < tol(z):
+            pool.pop(best)
+            pairs += 1
+    return pairs
+
+
 def diagonalize_classify(p, rep, delta=None):
     """Spectrum of p in the representation, with truncation filtering.
 
@@ -259,19 +281,7 @@ def diagonalize_classify(p, rep, delta=None):
     nonreal = [z for z in converged if abs(z.imag) > tol]
     if not nonreal:
         return SpectrumReport(eigenvalues, flags, converged, ALL_REAL)
-    # count conjugate pairs among the non-real converged eigenvalues
-    pool = list(nonreal)
-    pairs = 0
-    while pool:
-        z = pool.pop()
-        best, best_d = None, None
-        for k, w in enumerate(pool):
-            d = abs(w - z.conjugate())
-            if best_d is None or d < best_d:
-                best, best_d = k, d
-        if best is not None and best_d < 1e-6 * (1 + abs(z)):
-            pool.pop(best)
-            pairs += 1
+    pairs = count_conjugate_pairs(nonreal, lambda z: 1e-6 * (1 + abs(z)))
     return SpectrumReport(eigenvalues, flags, converged, CONJUGATE_PAIRS,
                           pairs=pairs)
 

@@ -48,21 +48,6 @@ def test_ladder_product():
     assert max_coeff_diff(lhs, rhs) < 1e-15
 
 
-def test_product_associativity():
-    rng = np.random.default_rng(3)
-    theta = 0.6
-    for _ in range(20):
-        polys = []
-        for _k in range(3):
-            terms = {}
-            for _t in range(4):
-                key = tuple(int(x) for x in rng.integers(0, 3, 3))
-                terms[key] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            polys.append(OperatorPoly(terms, theta))
-        p, q, r = polys
-        assert max_coeff_diff((p * q) * r, p * (q * r)) < 1e-10
-
-
 def test_scalar_arithmetic_and_pow():
     theta = 0.5
     u, v, j = gens(theta)

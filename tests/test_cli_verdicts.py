@@ -1,9 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
-from deformed_e2 import cli
+from deformed_e2 import OperatorPoly, cli
 from deformed_e2.models import SYMMETRIC, Mu, classify_region
+from deformed_e2.representations import make_representation, poly_to_matrix
 
 
 def test_uncertified_general_coeffs_search_is_unresolved(capsys):
@@ -45,3 +47,66 @@ def test_grid_at_the_limit_is_accepted():
             {"name": "theta", "min": 0.0, "max": 1.0, "steps": 1000}]
     parsed = cli._axes({"axes": axes}, "pt5-general")
     assert [len(values) for _, values in parsed] == [1000, 1000]
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "-c", "configs/classify_mu3_sweep.json",
+     "--set", "fixed.mu1=0"],
+    ["classify", "-c", "configs/classify_mu3_sweep.json",
+     "--set", 'fixed={"mu3": 1, "mu4": 2}',
+     "--set", 'axes=[{"name": "mu1", "min": -1, "max": 1, "steps": 3}]'],
+    ["ep", "-c", "configs/ep_theta_sweep.json", "--set", "fixed.mu1=0"],
+], ids=["classify-fixed", "classify-axis", "ep-fixed"])
+def test_zero_mu1_is_a_config_error(argv, capsys, monkeypatch):
+    def no_point(*args, **kwargs):
+        raise AssertionError("a point was computed")
+    for name in ("_run_pool", "classify_region", "find_exceptional_point"):
+        monkeypatch.setattr(cli, name, no_point)
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "mu1 must be nonzero" in captured.err
+
+
+def _first_match_pairs(poly, rep):
+    """The circle's pair count by the loop it used before nearest-partner
+    matching: each popped value takes the first partner within tolerance."""
+    e = np.sort_complex(np.diagonal(poly_to_matrix(poly, rep)))
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(e))))
+    pool = [complex(z) for z in e if abs(z.imag) > tol]
+    pairs = 0
+    while pool:
+        z = pool.pop()
+        for k, w in enumerate(pool):
+            if abs(w - z.conjugate()) < tol:
+                pool.pop(k)
+                pairs += 1
+                break
+    return pairs
+
+
+def test_circle_pair_count_matches_first_match_loop():
+    theta = 0.5
+    rep = make_representation("circle", theta, 6)
+    # (J^2 - 1)(J^2 - 4) + i (J^3 - 7J): E(1) = E(2) = -6i, E(-1) = E(-2) = 6i
+    polys = [OperatorPoly({(0, 0, 4): 1, (0, 0, 2): -5, (0, 0, 0): 4,
+                           (0, 0, 3): 1j, (0, 0, 1): -7j}, theta)]
+    # half-integer coefficients of J^0..J^4; a real part on even powers and
+    # an imaginary part on odd ones makes E(-m) = conj E(m) exactly, all on
+    # even powers makes E(-m) = E(m)
+    rng = np.random.default_rng(11)
+    even = np.arange(5) % 2 == 0
+    for kind in rng.integers(0, 3, 300):
+        re, im = rng.integers(-4, 5, (2, 5)) / 2
+        if kind == 0:
+            re, im = re * even, im * ~even
+        elif kind == 1:
+            re, im = re * even, im * even
+        polys.append(OperatorPoly({(0, 0, k): complex(re[k], im[k])
+                                   for k in range(5)}, theta))
+    counts = []
+    for poly in polys:
+        _, _, _, pairs, _ = cli._circle_report(poly, rep)
+        assert pairs == _first_match_pairs(poly, rep)
+        counts.append(pairs)
+    assert counts[0] == 6 and {0, 6} <= set(counts[1:])

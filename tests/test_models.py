@@ -87,28 +87,6 @@ def test_build_pt5_is_pt5_invariant():
     assert pt_invariance_check(PTKind.PT5, ham)
 
 
-def test_coeff_round_trip():
-    rng = np.random.default_rng(6)
-    for _ in range(10):
-        vals = tuple(complex(*rng.uniform(-1, 1, 2)) for _ in range(10))
-        coeffs = HamiltonianCoeffs(vals)
-        ham = build_general(coeffs, 0.7)
-        back = extract_coeffs(ham)
-        assert all(abs(back[i] - coeffs[i]) < 1e-14 for i in range(1, 11))
-
-
-def test_constraint_residuals_flag_hermiticity():
-    rng = np.random.default_rng(7)
-    theta = 0.9
-    for _ in range(50):
-        vals = tuple(complex(*rng.uniform(-1, 1, 2)) for _ in range(10))
-        coeffs = HamiltonianCoeffs(vals)
-        ham = build_general(coeffs, theta)
-        res = constraint_residuals(coeffs, theta)
-        direct = hermiticity_residual(ham)
-        assert (np.max(np.abs(res)) < 1e-12) == (direct < 1e-12)
-
-
 def test_constraint_residuals_isolate_components():
     # a lone imaginary U coefficient trips exactly the third residual
     theta = 0.0
@@ -303,6 +281,9 @@ def test_toy_model_worked_numbers():
     # relabels n -> -n, so the spectrum as a set is unchanged
     assert h.coeff(0, 0, 2) == pytest.approx(1.0)
     assert abs(h.coeff(0, 0, 1)) == pytest.approx(eps)
+    # the rescaled convention's E_1 = 4 pi^2 mu1 - 2 pi eps for this h
+    assert toy_spectrum(1.0, eps, 1, convention="paper") == pytest.approx(
+        4 * math.pi ** 2 - 0.6 * math.pi, abs=1e-12)
 
 
 def test_toy_model_argument_validation():
@@ -310,18 +291,6 @@ def test_toy_model_argument_validation():
         toy_model(1.0, 1.0)                       # needs lam or mu3
     with pytest.raises(ValueError):
         toy_model(1.0, 1.0, lam=1.0, mu3=2.0)     # but not both
-
-
-def test_toy_spectrum_conventions():
-    # oracle normalization: E_n = mu1 n^2 - eps n
-    assert toy_spectrum(1.0, 0.3, 1) == pytest.approx(0.7)
-    assert toy_spectrum(1.0, 0.3, -1) == pytest.approx(1.3)
-    assert toy_spectrum(1.0, 0.3, 0) == 0.0
-    # rescaled normalization: E_n = 4 pi^2 mu1 n^2 - 2 pi eps n, i.e. the
-    # oracle spectrum evaluated at 2 pi n
-    paper = toy_spectrum(1.0, 0.3, 1, convention="paper")
-    assert paper == pytest.approx(4 * math.pi ** 2 - 0.6 * math.pi, abs=1e-12)
-    assert paper == pytest.approx(toy_spectrum(1.0, 0.3, 2 * math.pi), abs=1e-12)
 
 
 def test_generic_numeric_solver_finds_closed_form():
