@@ -16,7 +16,6 @@ import io
 import itertools
 import json
 import math
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -184,7 +183,8 @@ def _fixed_params(cfg, model):
 
 
 def _toy_values(cfg, allowed):
-    """The toy model's fixed values, with exactly one of lam and mu3."""
+    """The toy model's fixed values: exactly one of lam and mu3, and a
+    nonzero mu1 (which defaults to 1)."""
     fixed = _fixed_object(cfg)
     for name in fixed:
         if name not in allowed:
@@ -194,6 +194,8 @@ def _toy_values(cfg, allowed):
     if ("lam" in vals) == ("mu3" in vals):
         raise ConfigError("toy model needs exactly one of fixed.lam, "
                           "fixed.mu3")
+    if vals.get("mu1") == 0:
+        raise ConfigError("mu1 must be nonzero")
     return vals
 
 
@@ -264,6 +266,9 @@ def _coeffs_from_values(values):
 def _mu_from_values(model, values):
     mu = Mu(**{k: v for k, v in values.items() if k in _MU_NAMES})
     if model == "pt5-special":
+        # the special mu7, mu9 divide by mu1
+        if mu.mu1 == 0:
+            raise ConfigError("mu1 must be nonzero")
         mu = with_special_choice(mu)
     return mu
 
@@ -335,9 +340,10 @@ def _classify_toy(values, theta):
             phase, margin, None)
 
 
-def cmd_classify(cfg, workers_flag):
-    _check_keys(cfg, ("model", "fixed", "axes", "theta", "output",
-                      "workers", "seed"))
+def cmd_classify(cfg, workers):
+    _check_keys(cfg, ("model", "fixed", "axes", "theta", "output", "seed"))
+    if workers < 1:
+        raise ConfigError("workers must be a positive integer")
     model = _require_model(cfg)
     fixed = _fixed_params(cfg, model)
     axes = _axes(cfg, model)
@@ -359,10 +365,6 @@ def cmd_classify(cfg, workers_flag):
         payloads.append((model, values, values.get("theta", theta_fixed),
                          seed))
 
-    workers = workers_flag or cfg.get("workers") or os.cpu_count() or 1
-    if not isinstance(workers, int) or workers < 1:
-        raise ConfigError("workers must be a positive integer")
-
     results = _run_pool(_classify_point, payloads, workers)
 
     swept_cols = [n for n in axis_names if n != "theta"]
@@ -378,7 +380,7 @@ def cmd_classify(cfg, workers_flag):
 
 
 def _run_pool(fn, payloads, workers):
-    """Map fn over payloads preserving order; pool only when it helps."""
+    """Map fn over payloads preserving order; inline for one worker."""
     if workers == 1 or len(payloads) <= 1:
         return [fn(p) for p in payloads]
     try:
@@ -720,8 +722,9 @@ def main(argv=None):
     sp = sub.add_parser("classify", help="sweep a parameter grid and emit "
                                          "one CSV row of phase data per point")
     _add_config_flags(sp)
-    sp.add_argument("--workers", "-w", type=int, metavar="N",
-                    help="worker pool size (default: available parallelism)")
+    sp.add_argument("--workers", "-w", type=int, default=1, metavar="N",
+                    help="worker processes (default: 1, inline); a pool "
+                         "pays only on expensive general-coeffs sweeps")
 
     sp = sub.add_parser("spectrum", help="diagonalize a family member in a "
                                          "truncated representation (JSON)")

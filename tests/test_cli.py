@@ -79,6 +79,46 @@ def test_classify_deterministic_across_workers(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_classify_builds_a_pool_only_when_asked(tmp_path, monkeypatch):
+    pools = []
+
+    class CountingPool:
+        """Records each construction and maps inline."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads, chunksize=1):
+            return map(fn, payloads)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["classify", "-c", THETA_SWEEP, "-o", str(out)]) == 0
+    assert pools == []
+    with open("tests/golden/classify_theta_sweep.csv", "rb") as f:
+        assert out.read_bytes() == f.read()
+    assert cli.main(["classify", "-c", THETA_SWEEP, "-o", str(out),
+                     "--workers", "2"]) == 0
+    assert pools == [2]
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--workers", "0"], "workers must be a positive integer"),
+    (["--set", "workers=2"], "unknown config keys: ['workers']"),
+], ids=["zero-flag", "config-key"])
+def test_workers_come_only_from_a_positive_flag(flags, message, capsys):
+    code = cli.main(["classify", "-c", THETA_SWEEP] + flags)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert message in captured.err
+
+
 def test_classify_rejects_unknown_model(tmp_path, capsys):
     cfg = write_config(tmp_path, "bad.json", {
         "model": "nonsense", "fixed": {"mu1": 1.0}, "theta": 1.0,

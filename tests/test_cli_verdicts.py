@@ -56,11 +56,20 @@ def test_grid_at_the_limit_is_accepted():
      "--set", 'fixed={"mu3": 1, "mu4": 2}',
      "--set", 'axes=[{"name": "mu1", "min": -1, "max": 1, "steps": 3}]'],
     ["ep", "-c", "configs/ep_theta_sweep.json", "--set", "fixed.mu1=0"],
-], ids=["classify-fixed", "classify-axis", "ep-fixed"])
+    ["hermitize", "-c", "configs/hermitize_special.json",
+     "--set", "fixed.mu1=0"],
+    ["hermitize", "--set", 'model="toy"',
+     "--set", 'fixed={"mu1": 0, "mu4": 1, "lam": 0.5}'],
+    ["spectrum", "-c", "configs/spectrum_toy.json", "--set", "fixed.mu1=0"],
+    ["spectrum", "--set", 'model="pt5-special"', "--set", "theta=1",
+     "--set", 'fixed={"mu1": 0, "mu3": 1, "mu4": 2}'],
+], ids=["classify-fixed", "classify-axis", "ep-fixed", "hermitize-special",
+        "hermitize-toy", "spectrum-toy", "spectrum-special"])
 def test_zero_mu1_is_a_config_error(argv, capsys, monkeypatch):
     def no_point(*args, **kwargs):
         raise AssertionError("a point was computed")
-    for name in ("_run_pool", "classify_region", "find_exceptional_point"):
+    for name in ("_run_pool", "classify_region", "find_exceptional_point",
+                 "with_special_choice", "toy_model", "make_representation"):
         monkeypatch.setattr(cli, name, no_point)
     code = cli.main(argv)
     captured = capsys.readouterr()

@@ -187,6 +187,30 @@ def test_classify_region_worked_triple():
     assert v0.lam.imag == pytest.approx(math.pi / 2, abs=1e-12)
 
 
+def test_special_and_general_modes_agree_on_special_choice_members():
+    # two routes to one phase: the special coth ratio and general mode's
+    # root search for the deformed mu3 condition (the coth(2 lambda)
+    # condition is vacuous under the special choice); draws within 1e-3 of
+    # either threshold are skipped, as a near-tie may legitimately split
+    rng = np.random.default_rng(1407)
+    seen = {SYMMETRIC: 0, BROKEN: 0}
+    for k in range(3000):
+        m = rng.uniform(-2.0, 2.0, 9)
+        m[0] = math.copysign(rng.uniform(0.3, 2.0), m[0])
+        if k % 7 == 0:
+            m[4] = m[5] = 0.0   # general mode's exact coth-ratio branch
+        mu = with_special_choice(Mu(*(float(x) for x in m)))
+        theta = float(rng.uniform(0.05, 6.0))
+        special = classify_region(mu, theta, mode="special")
+        general = classify_region(mu, theta, mode="general")
+        if BOUNDARY in (special.phase, general.phase) or \
+                min(abs(special.margin1), abs(general.margin2)) < 1e-3:
+            continue
+        assert special.phase == general.phase, (mu, theta)
+        seen[special.phase] += 1
+    assert min(seen.values()) > 1000 and sum(seen.values()) > 2950
+
+
 def test_classify_special_degenerate_denominator():
     # an already-hermitian member makes the special coth ratio 0/0; the
     # classifier reports the degeneracy as Boundary with NaN margin rather
