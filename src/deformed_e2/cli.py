@@ -163,40 +163,42 @@ def _number(value, name):
     return value
 
 
-def _fixed_object(cfg):
+def _model_values(cfg, model, command, swept=None):
+    """The checked `fixed` values of a data command's model.
+
+    Every name must be one the model allows (toy spectrum and hermitize
+    also take lam, and exactly one of lam and mu3) and every number finite.
+    The PT5 and toy formulas divide by mu1, so it must be given, fixed or
+    swept, and nonzero; toy spectrum and hermitize default it to 1, and
+    spectrum of a pt5-general member divides by nothing and accepts 0.
+    `swept` maps each swept name to the values it takes.
+    """
     fixed = cfg.get("fixed", {})
     if not isinstance(fixed, dict):
         raise ConfigError("fixed must be a name -> value object")
-    return fixed
-
-
-def _fixed_params(cfg, model):
-    fixed = _fixed_object(cfg)
-    allowed = _MODEL_PARAMS[model]
-    out = {}
+    toy_lam = model == "toy" and command != "classify"
+    allowed = _MODEL_PARAMS[model] + (("lam",) if toy_lam else ())
+    values = {}
     for name, value in fixed.items():
         if name not in allowed:
             raise ConfigError(f"parameter {name!r} is not valid for model "
                               f"{model} (allowed: {list(allowed)})")
-        out[name] = _number(value, f"fixed.{name}")
-    return out
-
-
-def _toy_values(cfg, allowed):
-    """The toy model's fixed values: exactly one of lam and mu3, and a
-    nonzero mu1 (which defaults to 1)."""
-    fixed = _fixed_object(cfg)
-    for name in fixed:
-        if name not in allowed:
-            raise ConfigError(f"parameter {name!r} is not valid for the "
-                              f"toy model (allowed: {list(allowed)})")
-    vals = {k: _number(v, f"fixed.{k}") for k, v in fixed.items()}
-    if ("lam" in vals) == ("mu3" in vals):
+        values[name] = _number(value, f"fixed.{name}")
+    swept = swept or {}
+    for name in swept:
+        if name in values:
+            raise ConfigError(f"{name!r} is both fixed and swept")
+    if toy_lam and ("lam" in values) == ("mu3" in values):
         raise ConfigError("toy model needs exactly one of fixed.lam, "
                           "fixed.mu3")
-    if vals.get("mu1") == 0:
+    if model == "general-coeffs":
+        return values
+    mu1s = [values["mu1"]] if "mu1" in values else list(swept.get("mu1", ()))
+    if not mu1s and not toy_lam:
+        raise ConfigError("mu1 must be given")
+    if 0 in mu1s and (command, model) != ("spectrum", "pt5-general"):
         raise ConfigError("mu1 must be nonzero")
-    return vals
+    return values
 
 
 def _toy_lam(vals):
@@ -204,24 +206,6 @@ def _toy_lam(vals):
     if "lam" in vals:
         return vals["lam"]
     return toy_lambda(vals["mu3"], vals.get("mu4", 0.0)).real
-
-
-def _seed(cfg):
-    seed = cfg.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError("seed must be an integer")
-    return seed
-
-
-def _require_mu1(fixed, swept):
-    """mu1 divides the PT5 formulas: it must be fixed or swept, and never 0.
-
-    `swept` maps each swept name to the values it takes.
-    """
-    if "mu1" not in fixed and "mu1" not in swept:
-        raise ConfigError("mu1 must be fixed or swept")
-    if fixed.get("mu1") == 0 or 0 in swept.get("mu1", ()):
-        raise ConfigError("mu1 must be nonzero")
 
 
 def _axes(cfg, model):
@@ -265,12 +249,7 @@ def _coeffs_from_values(values):
 
 def _mu_from_values(model, values):
     mu = Mu(**{k: v for k, v in values.items() if k in _MU_NAMES})
-    if model == "pt5-special":
-        # the special mu7, mu9 divide by mu1
-        if mu.mu1 == 0:
-            raise ConfigError("mu1 must be nonzero")
-        mu = with_special_choice(mu)
-    return mu
+    return with_special_choice(mu) if model == "pt5-special" else mu
 
 
 def _emit(text, output):
@@ -304,12 +283,12 @@ def _cell(x):
 
 def _classify_point(payload):
     """One grid point -> raw result cells. Top level for pickling."""
-    model, values, theta, seed = payload
+    model, values, theta = payload
     if model == "toy":
         return _classify_toy(values, theta)
     if model == "general-coeffs":
         coeffs = _coeffs_from_values(values)
-        params, residual = solve_generic_numeric(coeffs, theta, seed=seed)
+        params, residual = solve_generic_numeric(coeffs, theta)
         # a failed search is no proof of the broken phase
         phase = SYMMETRIC if residual <= CERT_TOL else UNRESOLVED
         # margin: distance of the certificate residual from its threshold
@@ -328,7 +307,7 @@ def _classify_point(payload):
 
 
 def _classify_toy(values, theta):
-    mu1 = values.get("mu1", 1.0)
+    mu1 = values["mu1"]
     mu3 = values.get("mu3", 0.0)
     mu4 = values.get("mu4", 0.0)
     margin = abs(mu3 / mu4) - 1 if mu4 != 0 else math.nan
@@ -341,29 +320,22 @@ def _classify_toy(values, theta):
 
 
 def cmd_classify(cfg, workers):
-    _check_keys(cfg, ("model", "fixed", "axes", "theta", "output", "seed"))
+    _check_keys(cfg, ("model", "fixed", "axes", "theta", "output"))
     if workers < 1:
         raise ConfigError("workers must be a positive integer")
     model = _require_model(cfg)
-    fixed = _fixed_params(cfg, model)
     axes = _axes(cfg, model)
+    fixed = _model_values(cfg, model, "classify", dict(axes))
     axis_names = [name for name, _ in axes]
-    for name in axis_names:
-        if name in fixed:
-            raise ConfigError(f"{name!r} is both fixed and swept")
     theta_fixed = None
     if "theta" not in axis_names:
         theta_fixed = _number(cfg.get("theta", 0.0), "theta")
-    if model != "general-coeffs":
-        _require_mu1(fixed, dict(axes))
-    seed = _seed(cfg)
 
     # row-major grid: first axis is the outer loop
     payloads = []
     for point in itertools.product(*(vals for _, vals in axes)):
         values = {**fixed, **dict(zip(axis_names, point))}
-        payloads.append((model, values, values.get("theta", theta_fixed),
-                         seed))
+        payloads.append((model, values, values.get("theta", theta_fixed)))
 
     results = _run_pool(_classify_point, payloads, workers)
 
@@ -371,7 +343,7 @@ def cmd_classify(cfg, workers):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(swept_cols + list(_CSV_FIELDS))
-    for cells, (_, values, _, _) in zip(results, payloads):
+    for cells, (_, values, _) in zip(results, payloads):
         row = [_cell(values[n]) for n in swept_cols]
         row += [_cell(x) for x in cells]
         writer.writerow(row)
@@ -469,10 +441,7 @@ def cmd_spectrum(cfg):
     _check_keys(cfg, ("model", "fixed", "theta", "hamiltonian",
                       "representation", "modes", "output"))
     model = _require_model(cfg)
-    if model == "toy":
-        fixed = _toy_values(cfg, ("mu1", "mu3", "mu4", "lam"))
-    else:
-        fixed = _fixed_params(cfg, model)
+    fixed = _model_values(cfg, model, "spectrum")
     theta = _number(cfg.get("theta", 0.0), "theta")
     which = cfg.get("hamiltonian", "h" if model == "toy" else "H")
     if which not in ("H", "h"):
@@ -489,10 +458,9 @@ def cmd_spectrum(cfg):
             eigs, flags = report.eigenvalues, report.flags
             verdict, pairs = report.verdict, report.pairs
             diagnostic = report.diagnostic
-    except (ConfigError, BrokenPhaseError):
+    except BrokenPhaseError:
         raise
-    except (ValueError, ZeroDivisionError, ArithmeticError,
-            np.linalg.LinAlgError) as exc:
+    except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
         raise NumericError(str(exc))
 
     params = {**fixed, "theta": theta, **extras}
@@ -535,7 +503,6 @@ def cmd_ep(cfg):
     model = _require_model(cfg)
     if model not in ("pt5-general", "pt5-special"):
         raise ConfigError("ep supports models pt5-general and pt5-special")
-    fixed = _fixed_params(cfg, model)
     sweep = cfg.get("sweep")
     if not isinstance(sweep, dict):
         raise ConfigError("sweep must be an object {name, min, max}")
@@ -543,13 +510,11 @@ def cmd_ep(cfg):
     name = sweep.get("name")
     if name != "theta" and name not in _MODEL_PARAMS[model]:
         raise ConfigError(f"sweep.name {name!r} is not valid for {model}")
-    if name in fixed:
-        raise ConfigError(f"{name!r} is both fixed and swept")
     lo = _number(sweep.get("min"), "sweep.min")
     hi = _number(sweep.get("max"), "sweep.max")
+    fixed = _model_values(cfg, model, "ep", {name: (lo, hi)})
     theta = _number(cfg.get("theta", 0.0), "theta")
     tol = _number(cfg.get("tol", BOUNDARY_TOL), "tol")
-    _require_mu1(fixed, {name: (lo, hi)})
     mode = "special" if model == "pt5-special" else "general"
 
     def family(t):
@@ -591,31 +556,29 @@ def _coeff_doc(poly):
 
 
 def cmd_hermitize(cfg):
-    _check_keys(cfg, ("model", "fixed", "theta", "seed", "output"))
+    _check_keys(cfg, ("model", "fixed", "theta", "output"))
     model = _require_model(cfg)
     if model == "pt5-general":
         raise ConfigError("hermitize supports pt5-special, toy and "
                           "general-coeffs (use general-coeffs for arbitrary "
                           "coefficient input)")
     theta = _number(cfg.get("theta", 0.0), "theta")
-    _fixed_object(cfg)  # its error comes before any model-specific one
+    values = _model_values(cfg, model, "hermitize")
 
     try:
         if model == "toy":
-            # each command keeps its own order of names in the error text
-            vals = _toy_values(cfg, ("mu1", "mu4", "lam", "mu3"))
-            mu1 = vals.get("mu1", 1.0)
-            mu4 = vals.get("mu4", 0.0)
-            h, eps, shift = toy_model(mu1, mu4, lam=vals.get("lam"),
-                                      theta=theta, mu3=vals.get("mu3"))
-            lam = _toy_lam(vals)
+            mu1 = values.get("mu1", 1.0)
+            mu4 = values.get("mu4", 0.0)
+            h, eps, shift = toy_model(mu1, mu4, lam=values.get("lam"),
+                                      theta=theta, mu3=values.get("mu3"))
+            lam = _toy_lam(values)
             params = toy_dyson_params(mu1, mu4, lam, theta)
             conj = adjoint_poly(params, build_pt5(toy_mu(mu1, mu4, lam),
                                                   theta))
             residual = max_coeff_diff(conj, dagger(conj))
             doc = {
                 "model": model,
-                "params": {**vals, "theta": theta},
+                "params": {**values, "theta": theta},
                 "dyson": _dyson_doc(params),
                 "residual": residual,
                 "h": _coeff_doc(conj),
@@ -626,17 +589,14 @@ def cmd_hermitize(cfg):
                         "published closed form, kept for comparison",
             }
         elif model == "pt5-special":
-            fixed = _fixed_params(cfg, model)
-            if "mu1" not in fixed:
-                raise ConfigError("mu1 must be given")
-            mu = _mu_from_values(model, fixed)
+            mu = _mu_from_values(model, values)
             solved = solve_pt5_special(mu, theta)
             closed = hermitian_counterpart_pt5(mu, theta)
             params = DysonParams(solved.lam.real, solved.rho.real, 0.0, theta)
             conj = adjoint_poly(params, build_pt5(mu, theta))
             doc = {
                 "model": model,
-                "params": {**fixed, "mu7": mu.mu7, "mu9": mu.mu9,
+                "params": {**values, "mu7": mu.mu7, "mu9": mu.mu9,
                            "theta": theta},
                 "dyson": _dyson_doc(params),
                 "residual": max_coeff_diff(conj, dagger(conj)),
@@ -644,10 +604,8 @@ def cmd_hermitize(cfg):
                 "closed_vs_engine": max_coeff_diff(closed, conj),
             }
         else:  # general-coeffs
-            seed = _seed(cfg)
-            values = _fixed_params(cfg, model)
             coeffs = _coeffs_from_values(values)
-            params, residual = solve_generic_numeric(coeffs, theta, seed=seed)
+            params, residual = solve_generic_numeric(coeffs, theta)
             conj = adjoint_poly(params, build_general(coeffs, theta))
             doc = {
                 "model": model,
@@ -657,10 +615,7 @@ def cmd_hermitize(cfg):
                 "h": _coeff_doc(conj),
                 "certified": bool(residual <= CERT_TOL),
             }
-    except ConfigError:
-        raise
-    except (BrokenPhaseError, ValueError, ZeroDivisionError,
-            ArithmeticError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         raise NumericError(str(exc))
 
     _emit(_json_text(doc), cfg.get("output"))

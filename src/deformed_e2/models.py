@@ -176,6 +176,8 @@ def special_mu9(mu):
 
 def with_special_choice(mu):
     """Fix mu7 and mu9 so the coth(2 lambda) constraint drops out."""
+    if mu.mu1 == 0:
+        raise ValueError("mu1 must be nonzero")
     return replace(mu, mu7=special_mu7(mu), mu9=special_mu9(mu))
 
 
@@ -626,7 +628,7 @@ def toy_spectrum(mu1, epsilon, n, convention="oracle"):
     raise ValueError(f"unknown convention {convention!r}")
 
 
-def solve_generic_numeric(coeffs, theta, seed=0):
+def solve_generic_numeric(coeffs, theta):
     """Search real (lam, rho, tau) Hermitizing the given Hamiltonian.
 
     Works for any of the invariant families (no tau = 0 assumption).
@@ -636,6 +638,8 @@ def solve_generic_numeric(coeffs, theta, seed=0):
     at most CERT_TOL, which certifies a numerically Hermitizing real map
     (Symmetric phase); otherwise returns the best of all starts.  Failure
     to certify is only a candidate for the broken phase, never a proof.
+    The starts are zero, then 15 draws from a fixed generator, so the
+    search is deterministic.
     """
     c = np.array(coeffs.c)
     table = product_table(theta)
@@ -649,7 +653,7 @@ def solve_generic_numeric(coeffs, theta, seed=0):
         r = resid(x)
         return 0.5 * float(r @ r)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     starts = [np.zeros(3)]
     starts += [rng.uniform(-2.0, 2.0, 3) for _ in range(15)]
     bounds = [(-20.0, 20.0)] * 3

@@ -108,15 +108,64 @@ def test_classify_builds_a_pool_only_when_asked(tmp_path, monkeypatch):
     assert pools == [2]
 
 
-@pytest.mark.parametrize("flags, message", [
-    (["--workers", "0"], "workers must be a positive integer"),
-    (["--set", "workers=2"], "unknown config keys: ['workers']"),
-], ids=["zero-flag", "config-key"])
-def test_workers_come_only_from_a_positive_flag(flags, message, capsys):
-    code = cli.main(["classify", "-c", THETA_SWEEP] + flags)
+@pytest.mark.parametrize("argv, message", [
+    (["classify", "-c", THETA_SWEEP, "--workers", "0"],
+     "workers must be a positive integer"),
+    (["classify", "-c", THETA_SWEEP, "--set", "workers=2"],
+     "unknown config keys: ['workers']"),
+    (["classify", "-c", THETA_SWEEP, "--set", "seed=1"],
+     "unknown config keys: ['seed']"),
+    (["hermitize", "-c", "configs/hermitize_special.json", "--set", "seed=1"],
+     "unknown config keys: ['seed']"),
+], ids=["zero-flag", "config-key", "seed-key", "hermitize-seed-key"])
+def test_workers_come_only_from_a_positive_flag(argv, message, capsys):
+    """Neither a worker count nor a solver seed is a config key."""
+    code = cli.main(argv)
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert message in captured.err
+
+
+_MU1_FIXED = ({}, {"mu1": 1}, {"mu1": 0})
+# exit code for each entry of _MU1_FIXED at theta = 1
+_MU1_MATRIX = {
+    ("classify", "pt5-general"): (2, 0, 2),
+    ("classify", "pt5-special"): (2, 0, 2),
+    ("classify", "toy"): (2, 0, 2),
+    ("classify", "general-coeffs"): (0, 2, 2),
+    ("spectrum", "pt5-general"): (2, 0, 0),
+    ("spectrum", "pt5-special"): (2, 0, 2),
+    ("spectrum", "toy"): (2, 2, 2),
+    ("spectrum", "general-coeffs"): (0, 2, 2),
+    ("ep", "pt5-general"): (2, 2, 2),
+    ("ep", "pt5-special"): (2, 2, 2),
+    ("ep", "toy"): (2, 2, 2),
+    ("ep", "general-coeffs"): (2, 2, 2),
+    ("hermitize", "pt5-general"): (2, 2, 2),
+    ("hermitize", "pt5-special"): (2, 3, 2),
+    ("hermitize", "toy"): (2, 2, 2),
+    ("hermitize", "general-coeffs"): (0, 2, 2),
+}
+
+
+@pytest.mark.parametrize("column", range(3), ids=["none", "mu1=1", "mu1=0"])
+@pytest.mark.parametrize("command, model", list(_MU1_MATRIX))
+def test_fixed_mu1_validation_matrix(command, model, column, capsys):
+    """Every data command and model with mu1 absent, 1 and 0 ends in its
+    documented exit code, never in a traceback: pt5 members need mu1, toy
+    spectrum and hermitize still need lam or mu3, general-coeffs has no
+    mu1, and only spectrum of pt5-general accepts mu1 = 0."""
+    argv = [command, "--set", f"model={json.dumps(model)}",
+            "--set", f"fixed={json.dumps(_MU1_FIXED[column])}",
+            "--set", "theta=1"]
+    if command == "classify":
+        argv += ["--set", 'axes=[{"name": "theta", "min": 0.5, "max": 1, '
+                          '"steps": 2}]']
+    if command == "ep":
+        argv += ["--set", 'sweep={"name": "theta", "min": 0, "max": 16}']
+    code, out = run(capsys, argv)
+    assert code == _MU1_MATRIX[command, model][column]
+    assert (out != "") == (code == 0)
 
 
 def test_classify_rejects_unknown_model(tmp_path, capsys):
@@ -202,6 +251,18 @@ def test_ep_worked_theta_family(capsys):
     assert doc["phase_low"] == "Broken"
     assert doc["phase_high"] == "Symmetric"
     assert doc["theta"] is None      # theta is the swept axis here
+
+
+def test_ep_bisection_through_mu1_zero_is_a_config_error(capsys):
+    # the phases differ at mu1 = -1 and 1, so the first midpoint is mu1 = 0,
+    # where the special mu7 and mu9 divide by zero
+    code = cli.main(["ep", "--set", 'model="pt5-special"', "--set", "theta=0.14",
+                     "--set", 'fixed={"mu2": 0.92, "mu3": -1.3, "mu4": 1.45, '
+                              '"mu5": 0.17, "mu6": -0.8, "mu8": -0.31}',
+                     "--set", 'sweep={"name": "mu1", "min": -1, "max": 1}'])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "mu1 must be nonzero" in captured.err
 
 
 def test_ep_requires_a_transition(capsys):
