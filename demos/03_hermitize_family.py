@@ -45,7 +45,7 @@ def main():
     print("engine vs closed form:", max_coeff_diff(h, closed))
     print()
 
-    print("cross-check with the blind numerical solver (no closed forms):")
+    print("cross-check with the generic solver (no PT5 closed forms):")
     num_params, residual = solve_generic_numeric(extract_coeffs(ham), theta)
     print("  numeric map:", num_params)
     print("  certificate residual:", residual)

@@ -678,8 +678,9 @@ def main(argv=None):
                                          "one CSV row of phase data per point")
     _add_config_flags(sp)
     sp.add_argument("--workers", "-w", type=int, default=1, metavar="N",
-                    help="worker processes (default: 1, inline); a pool "
-                         "pays only on expensive general-coeffs sweeps")
+                    help="worker processes (default: 1, inline); on 2 "
+                         "cores a pool ran slower than inline on every "
+                         "model, general-coeffs included")
 
     sp = sub.add_parser("spectrum", help="diagonalize a family member in a "
                                          "truncated representation (JSON)")

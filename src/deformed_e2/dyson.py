@@ -5,7 +5,8 @@ The adjoint action of A = lam*J + rho*U + tau*V closes on the span
 for X in {U, V, J}.  Two independent routes compute it:
 
 * closed-form expressions in cosh/sinh of lam (with series fallbacks where
-  the written forms have removable lam -> 0 singularities), and
+  the written forms have removable lam -> 0 singularities), also evaluated
+  in numpy for whole arrays of maps (`closed_image_columns`), and
 * a 4x4 matrix exponential of ad_A on the invariant span, built from nothing
   but the commutation relations.
 
@@ -131,6 +132,46 @@ def adjoint_generator_closed(params, g):
                             sV=1j * rho * s1 + tau * c2,
                             sJ=1.0 + 0j)
     raise ValueError(f"unknown generator tag {g!r}")
+
+
+def lam_functions_array(lam):
+    """`_lam_functions` on a real array, with the same series branch."""
+    x2 = lam * lam
+    x4 = x2 * x2
+    small = np.abs(lam) < SERIES_CUTOFF
+    s_series = 1 + x2 / 6 + x4 / 120
+    c3_series = -(0.5 + x2 / 24 + x4 / 720)
+    with np.errstate(all="ignore"):
+        sh = np.sinh(lam)
+        one_minus_ch = -2 * np.sinh(lam / 2) ** 2
+        return (np.where(small, 1 + x2 / 2 + x4 / 24, np.cosh(lam)),
+                np.where(small, lam * s_series, sh),
+                np.where(small, s_series, sh / lam),
+                np.where(small, lam * c3_series, one_minus_ch / lam),
+                np.where(small, c3_series, one_minus_ch / x2))
+
+
+def closed_image_columns(lam, rho, tau, theta):
+    """The closed-form generator images for arrays of real (lam, rho, tau).
+
+    Returns s of shape (n, 4, 4): s[i, :, k] holds the (1, U, V, J)
+    components of eta g_k eta^-1 for g = (1, U, V, J) and the i-th map; the
+    same formulas as `adjoint_generator_closed`, evaluated in numpy.
+    """
+    ch, sh, s1, c2, c3 = lam_functions_array(lam)
+    s = np.zeros((len(lam), 4, 4), dtype=complex)
+    s[:, 0, 0] = 1.0
+    s[:, 0, 1] = -rho * theta * c2 - 1j * tau * theta * s1
+    s[:, 1, 1] = ch
+    s[:, 2, 1] = -1j * sh
+    s[:, 0, 2] = -tau * theta * c2 + 1j * rho * theta * s1
+    s[:, 1, 2] = 1j * sh
+    s[:, 2, 2] = ch
+    s[:, 0, 3] = theta * (rho * rho + tau * tau) * c3
+    s[:, 1, 3] = -1j * tau * s1 + rho * c2
+    s[:, 2, 3] = 1j * rho * s1 + tau * c2
+    s[:, 3, 3] = 1.0
+    return s
 
 
 def ad_matrix(params):

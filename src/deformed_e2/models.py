@@ -41,7 +41,12 @@ import numpy as np
 from scipy.optimize import brentq, least_squares, minimize
 
 from .algebra import OperatorPoly
-from .dyson import DysonParams, adjoint_generator_closed
+from .dyson import (
+    DysonParams,
+    adjoint_generator_closed,
+    closed_image_columns,
+    lam_functions_array,
+)
 
 SYMMETRIC = "Symmetric"
 BROKEN = "Broken"
@@ -244,13 +249,13 @@ def constraint_residuals(coeffs, theta):
 
     Ordered as [beta1, beta2, beta3 - alpha6/2, beta4 + alpha5/2, beta5,
     beta6, beta7, beta8, beta9, beta10 + theta*alpha9/2].  `coeffs` is a
-    HamiltonianCoeffs or a length-10 complex array of c_1..c_10.
+    HamiltonianCoeffs or a complex array of c_1..c_10 along its last axis.
     """
     c = np.asarray(getattr(coeffs, "c", coeffs), dtype=complex)
     r = c.imag.copy()
-    r[2] -= c[5].real / 2
-    r[3] += c[4].real / 2
-    r[9] += theta * c[8].real / 2
+    r[..., 2] -= c[..., 5].real / 2
+    r[..., 3] += c[..., 4].real / 2
+    r[..., 9] += theta * c[..., 8].real / 2
     return r
 
 
@@ -628,10 +633,223 @@ def toy_spectrum(mu1, epsilon, n, convention="oracle"):
     raise ValueError(f"unknown convention {convention!r}")
 
 
+# The elimination solver's lam grid: |lam| <= ELIM_LAM_MAX, log-spaced toward
+# lam = 0 from both sides, with lam = 0 itself (the series branch) included.
+ELIM_LAM_MAX = 20.0
+_ELIM_GRID = np.concatenate([
+    -np.logspace(math.log10(ELIM_LAM_MAX), -6, 400), [0.0],
+    np.logspace(-6, math.log10(ELIM_LAM_MAX), 400),
+])
+# grid indices by increasing |lam|, the order that breaks ties
+_ELIM_BY_SIZE = np.argsort(np.abs(_ELIM_GRID), kind="stable")
+# the J, U^2, V^2 and UV residuals, jointly linear in (rho, tau) at c1 = 0
+_C1_ZERO_ROWS = [1, 6, 7, 8]
+# The UJ/VJ elimination moves (rho, tau) by about max(|c5|, |c6|)/|c1| per
+# unit of lam; past this ratio the c1 = 0 pass is tried first.
+_C1_SMALL = 1e4
+
+
+def _coeff_matrix(c):
+    """C with H = sum C[k, l] g_k g_l over the factors g = (1, U, V, J)."""
+    cmat = np.zeros((4, 4), dtype=complex)
+    cmat[_LEFT, _RIGHT] = c
+    return cmat
+
+
+def _residual_rows(cmat, table, theta, lam, rho, tau):
+    """Hermiticity residuals of eta H eta^-1 for arrays of maps, shape (n, 10).
+
+    The vectorized twin of `constraint_residuals(conjugation_matrix(p) @ c)`:
+    conjugating both factors of each g_k g_l turns C into Q = s C s^T, and
+    `product_table` maps Q's 16 entries to c_1..c_10.
+    """
+    s = closed_image_columns(lam, rho, tau, theta)
+    sc = (s.reshape(-1, 4) @ cmat).reshape(s.shape)
+    q = sc @ s.transpose(0, 2, 1)
+    return constraint_residuals(q.reshape(-1, 16) @ table.reshape(16, 10),
+                                theta)
+
+
+def _max_abs(r):
+    """Row-wise max |r|, with inf for rows that are not finite."""
+    m = np.max(np.abs(r), axis=-1)
+    return np.where(np.isfinite(m), m, math.inf)
+
+
+def _uj_vj_solution(c):
+    """(rho, tau)(lam) zeroing the UJ and VJ residuals, for c1 != 0.
+
+    Only c5 UJ, c6 VJ and c1 J^2 reach UJ and VJ.  Their coefficients in
+    eta H eta^-1 are c5 ch + i c6 sh + 2 c1 s_U(J) and c6 ch - i c5 sh
+    + 2 c1 s_V(J), with s_U(J) = rho C2 - i tau S and s_V(J) = tau C2
+    + i rho S the U and V components of eta J eta^-1 (S = sinh(lam)/lam
+    >= 1, C2 = (1 - cosh(lam))/lam).  So the two residuals are
+    A [rho, tau] + b, and A multiplies rho + i tau by
+    w = 2 (Im c1 C2 + i Re c1 S), which vanishes only at c1 = 0.
+    """
+    c1, c5, c6 = c[0], c[4], c[5]
+
+    def solve(lam):
+        ch, sh, s1, c2, _ = lam_functions_array(lam)
+        b = (c5 * ch + 1j * c6 * sh).imag + 1j * (c6 * ch - 1j * c5 * sh).imag
+        z = -b / (2 * (c1.imag * c2 + 1j * c1.real * s1))
+        return z.real + 0.0, z.imag + 0.0   # no -0.0 at b = 0
+    return solve
+
+
+def _c1_zero_solution(cmat0, table, theta):
+    """(rho, tau)(lam) solving the J, U^2, V^2 and UV rows at c1 = 0.
+
+    Without c1 J^2 those four rows are affine in (rho, tau); they are
+    solved in least squares, read off the residuals at (rho, tau) = (0, 0),
+    (1, 0) and (0, 1).
+    """
+    def solve(lam):
+        n = len(lam)
+        zero, one = np.zeros(n), np.ones(n)
+        r = _residual_rows(cmat0, table, theta, np.tile(lam, 3),
+                           np.concatenate([zero, one, zero]),
+                           np.concatenate([zero, zero, one]))
+        r = r[:, _C1_ZERO_ROWS]
+        b = r[:n]
+        a = np.stack([r[n:2 * n] - b, r[2 * n:] - b], axis=-1)
+        bad = ~(np.isfinite(a).all(axis=(1, 2)) & np.isfinite(b).all(axis=1))
+        a[bad], b[bad] = 0.0, 0.0
+        x = -(np.linalg.pinv(a) @ b[:, :, None])[:, :, 0]
+        x[bad] = math.nan
+        return x[:, 0] + 0.0, x[:, 1] + 0.0   # no -0.0 at b = 0
+    return solve
+
+
+def _gauss_newton(cmat, table, theta, x, steps=6):
+    """Gauss-Newton steps on all ten residuals over x = (lam, rho, tau).
+
+    Stops once the residuals stop halving, and returns the best point seen.
+    """
+    best, last = x, math.inf
+    for _ in range(steps + 1):
+        h = 1e-7 * np.maximum(1.0, np.abs(x))
+        pts = x + np.vstack([np.zeros(3), np.diag(h)])
+        r = _residual_rows(cmat, table, theta, pts[:, 0], pts[:, 1], pts[:, 2])
+        size = _max_abs(r[0])
+        if size < last:
+            best = x
+        if not size <= last / 2 or size <= CERT_TOL / 100:
+            break
+        last = size
+        jac = (r[1:] - r[0]).T / h
+        x = x + np.linalg.lstsq(jac, -r[0], rcond=None)[0]
+    return best
+
+
 def solve_generic_numeric(coeffs, theta):
     """Search real (lam, rho, tau) Hermitizing the given Hamiltonian.
 
-    Works for any of the invariant families (no tau = 0 assumption).
+    Works for any of the invariant families (no tau = 0 assumption).  For a
+    fixed lam the UJ and VJ residuals are linear in (rho, tau), so with
+    c1 != 0 they fix (rho, tau) and the search is one-dimensional: all ten
+    residuals are evaluated on the `_ELIM_GRID` (|lam| <= ELIM_LAM_MAX, lam
+    = 0 included) in one vectorized pass, and the candidates are tried in
+    this order:
+
+    * grid points whose residuals already vanish, smallest |lam| first (a
+      Hermitian input gets the identity map);
+    * grid intervals where some residual changes sign, best endpoint first:
+      `brentq` on the steepest such residual, then Gauss-Newton steps in
+      (lam, rho, tau) when the root does not certify;
+    * the best grid point, polished the same way.
+
+    A second pass, for c1 = 0 and for the c1 -> 0 limit where that
+    elimination is ill-conditioned, solves the J, U^2, V^2 and UV rows for
+    (rho, tau) as if c1 were 0 and polishes against the true c1; it runs
+    when the first does not certify, or first when c1 is small (see
+    _C1_SMALL).  The J^2 residual is Im c1 for every map, so when
+    |Im c1| > CERT_TOL nothing can certify: the second pass is skipped and
+    only the best grid point of the first is evaluated.
+
+    Each candidate is certified through `conjugation_matrix`, the
+    independent scalar route, and the first whose max-norm residual is at
+    most CERT_TOL is returned (Symmetric phase).  Otherwise the candidate
+    with the smallest residual comes back.  A failed search bounds the
+    search, no real map of this form with |lam| <= ELIM_LAM_MAX was found,
+    but it proves nothing about the phase.  The search is deterministic.
+    """
+    c = np.array(coeffs.c, dtype=complex)
+    c1 = c[0]
+    table = product_table(theta)
+    cmat = _coeff_matrix(c)
+    certifiable = abs(c1.imag) <= CERT_TOL
+    passes = []
+    if c1 != 0:
+        passes.append((cmat, _uj_vj_solution(c), [4, 5]))
+    if certifiable:
+        cmat0 = _coeff_matrix(np.concatenate([[0.0], c[1:]]))
+        passes.append((cmat0, _c1_zero_solution(cmat0, table, theta),
+                       _C1_ZERO_ROWS))
+        if abs(c1) * _C1_SMALL < max(abs(c[4]), abs(c[5])):
+            passes.reverse()
+
+    def certify(x):
+        params = DysonParams(float(x[0]), float(x[1]), float(x[2]), theta)
+        r = constraint_residuals(conjugation_matrix(params, table) @ c, theta)
+        return params, float(_max_abs(r))
+
+    best = (None, math.inf)
+    with np.errstate(all="ignore"):
+        for pass_cmat, solve, solved_rows in passes:
+            for x in _candidates(pass_cmat, table, theta, solve, solved_rows,
+                                 certifiable):
+                found = certify(x)
+                if found[1] > CERT_TOL and certifiable:
+                    polished = certify(_gauss_newton(cmat, table, theta, x))
+                    found = min(found, polished, key=lambda f: f[1])
+                if found[1] < best[1]:
+                    best = found
+                if best[1] <= CERT_TOL:
+                    return best
+    if best[0] is None:
+        raise ArithmeticError("residuals non-finite on the whole lam grid")
+    return best
+
+
+def _candidates(cmat, table, theta, solve, solved_rows, certifiable):
+    """Candidate maps (lam, rho, tau) of one elimination pass, best first.
+
+    `solve` gives (rho, tau) at each lam from `solved_rows`; sign changes
+    are looked for in the other rows, J^2 aside (it is Im c1 throughout).
+    When nothing can certify, only the best grid point is a candidate.
+    """
+    def reduced(lam):
+        rho, tau = solve(lam)
+        return rho, tau, _residual_rows(cmat, table, theta, lam, rho, tau)
+
+    lam = _ELIM_GRID
+    rho, tau, r = reduced(lam)
+    m = _max_abs(r)
+    order = _ELIM_BY_SIZE[np.argsort(m[_ELIM_BY_SIZE], kind="stable")]
+    if certifiable:
+        for i in order[m[order] <= CERT_TOL]:
+            yield lam[i], rho[i], tau[i]
+        free = np.ones(10, dtype=bool)
+        free[[0, *solved_rows]] = False
+        ra, rb = r[:-1], r[1:]
+        change = (ra * rb < 0) & free
+        intervals = np.flatnonzero(change.any(axis=1))
+        worth = np.minimum(m[:-1], m[1:])[intervals]
+        for i in intervals[np.argsort(worth, kind="stable")]:
+            k = np.argmax(np.where(change[i], np.abs(rb[i] - ra[i]), -1.0))
+            root = brentq(lambda x: reduced(np.array([x]))[2][0, k],
+                          lam[i], lam[i + 1], xtol=1e-18, disp=False)
+            rho_r, tau_r, _ = reduced(np.array([root]))
+            yield root, rho_r[0], tau_r[0]
+    yield lam[order[0]], rho[order[0]], tau[order[0]]
+
+
+def solve_generic_multistart(coeffs, theta):
+    """Search real (lam, rho, tau) by multistart optimization.
+
+    An independent route that the tests and `verify` compare
+    `solve_generic_numeric` against; the CLI does not call it.
     Multi-start quasi-Newton on the summed squared Hermiticity residuals of
     `conjugation_matrix(params) @ c`, each start polished by nonlinear
     least squares.  Returns at the first start whose max-norm residual is

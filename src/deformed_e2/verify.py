@@ -23,6 +23,7 @@ from .algebra import (
     PTKind,
     commutator,
     dagger,
+    hermiticity_residual,
     max_coeff_diff,
     normal_order_product,
     pt_algebra_consistent,
@@ -32,6 +33,7 @@ from .dyson import DysonParams, adjoint_generator_closed, adjoint_generator_orac
 from .models import (
     BOUNDARY,
     BROKEN,
+    CERT_TOL,
     SYMMETRIC,
     HamiltonianCoeffs,
     Mu,
@@ -43,6 +45,8 @@ from .models import (
     find_exceptional_point,
     hermitian_counterpart_pt5,
     mu3_deformed,
+    solve_generic_multistart,
+    solve_generic_numeric,
     solve_pt5_special,
     solve_pt5_undeformed,
     special_mu7,
@@ -347,6 +351,42 @@ def _coefficient_round_trip(fault):
         back = extract_coeffs(build_general(c, theta))
         worst = max(worst, max(abs(a - b) for a, b in zip(c.c, back.c)))
     return worst == 0.0, f"worst round-trip deviation {worst:.3e}"
+
+
+@_register("constraints", "elimination solve vs multistart")
+def _elimination_vs_multistart(fault):
+    # planted: eta^-1 h eta for a Hermitian h and a real map, one with
+    # c1 = 0; generic: random complex coefficients, which no map certifies
+    rng = np.random.default_rng(11)
+    agree, certified, worst = True, 0, 0.0
+    for k in range(6):
+        theta = float(rng.uniform(-2, 2))
+        if k < 4:
+            a = rng.uniform(-1, 1, 10)
+            a[0] = 0.0 if k == 3 else a[0]
+            b = np.zeros(10)
+            b[2], b[3], b[9] = a[5] / 2, -a[4] / 2, -theta * a[8] / 2
+            h = build_general(HamiltonianCoeffs(tuple(a + 1j * b)), theta)
+            eta = DysonParams(*(float(x) for x in rng.uniform(-1.5, 1.5, 3)),
+                              theta)
+            coeffs = extract_coeffs(adjoint_poly(eta.inverse(), h,
+                                                 route="oracle"))
+        else:
+            coeffs = HamiltonianCoeffs(tuple(
+                complex(x, y) for x, y in rng.uniform(-1, 1, (10, 2))))
+        params, residual = solve_generic_numeric(coeffs, theta)
+        multi = solve_generic_multistart(coeffs, theta)[1]
+        agree = agree and (residual <= CERT_TOL) == (multi <= CERT_TOL)
+        if residual <= CERT_TOL:
+            certified += 1
+            ham = build_general(coeffs, theta)
+            conj = adjoint_poly(params, ham, route="oracle")
+            worst = max(worst, hermiticity_residual(conj)
+                        / max(1.0, ham.max_abs_coeff()))
+    return (agree and certified == 4 and worst <= 1e-8,
+            f"routes agree on {'all' if agree else 'not all'} 6 inputs, "
+            f"{certified} of 4 planted certified; worst relative oracle "
+            f"Hermiticity residual {worst:.3e}")
 
 
 _WORKED_MU = with_special_choice(Mu(mu1=1.0, mu2=0.0, mu3=1.0, mu4=2.0,

@@ -1,4 +1,6 @@
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +24,33 @@ def test_uncertified_general_coeffs_search_is_unresolved(capsys):
                      "--set", "axes=" + json.dumps(axes)]) == 0
     row = capsys.readouterr().out.strip().split("\n")[-1].split(",")
     assert row[0] == "12.0" and row[5] == "Unresolved"
-    assert float(row[6]) == pytest.approx(-0.518, abs=1e-3)
+    # CERT_TOL minus the smallest residual over the lam grid and its
+    # polished candidates (the old multistart's best was 0.518)
+    assert float(row[6]) == pytest.approx(-0.524, abs=1e-3)
+
+
+def test_planted_c1_zero_input_certifies(capsys):
+    # U + 0.5i V: no J^2 to eliminate with; tanh(lam) = 1/2 is the map
+    assert cli.main(["hermitize", "--set", 'model="general-coeffs"',
+                     "--set", "theta=0.7",
+                     "--set", 'fixed={"c3": 1, "c4_im": 0.5}']) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["certified"] is True
+    assert doc["dyson"]["lambda_re"] == pytest.approx(math.log(3) / 2,
+                                                      abs=1e-12)
+
+
+def test_huge_coefficients_certify_without_warnings(capsys):
+    # the grid overflows away from lam = 0; the identity map is exact
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["hermitize", "--set", 'model="general-coeffs"',
+                         "--set", "theta=0.7",
+                         "--set", 'fixed={"c1": 1e300, "c3": 1e300}']) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    doc = json.loads(captured.out)
+    assert doc["certified"] is True and doc["dyson"]["lambda_re"] == 0.0
 
 
 @pytest.mark.parametrize("axes", [

@@ -30,6 +30,7 @@ from deformed_e2.models import (
     mu3_deformed,
     product_table,
     rho_of_lambda,
+    solve_generic_multistart,
     solve_generic_numeric,
     solve_pt5_special,
     solve_pt5_undeformed,
@@ -327,16 +328,22 @@ def test_generic_numeric_solver_finds_closed_form():
 
 
 def test_generic_numeric_solver_hermitian_input():
-    # already hermitian: the zero map is a solution
+    # already hermitian and J-invariant: every exp(lam J) is a solution, and
+    # the tie goes to the smallest |lam|, the identity map
     coeffs = HamiltonianCoeffs((1.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.3, 0.3, 0.0, 0.0))
     params, residual = solve_generic_numeric(coeffs, 1.0)
     assert residual < 1e-10
+    assert (params.lam, params.rho, params.tau) == (0.0, 0.0, 0.0)
 
 
 def test_generic_matches_special_on_worked_family():
     coeffs = build_pt5(WORKED, 12.0)
     params, residual = solve_generic_numeric(extract_coeffs(coeffs), 12.0)
     assert residual < 1e-9
+    # the special-choice map: lam = ln2/2, rho = -lam, tau = 0
+    assert params.lam == pytest.approx(HALF_LN2, abs=1e-12)
+    assert params.rho == pytest.approx(-HALF_LN2, abs=1e-12)
+    assert abs(params.tau) < 1e-12
     closed = solve_pt5_special(WORKED, 12.0)
     ham = build_pt5(WORKED, 12.0)
     # different parameter triples can hermitize the same family; compare
@@ -386,6 +393,67 @@ def test_conjugation_matrix_identity_and_product_table():
     assert np.array_equal(table[2, 1], vu)
 
 
+def test_grid_residuals_match_scalar_route():
+    worst = 0.0
+    for params, c, theta in _conjugation_draws(70):
+        table = product_table(theta)
+        want = constraint_residuals(conjugation_matrix(params, table) @ c,
+                                    theta)
+        got = models._residual_rows(models._coeff_matrix(c), table, theta,
+                                    *(np.array([float(x)]) for x in
+                                      (params.lam, params.rho, params.tau)))
+        worst = max(worst, np.max(np.abs(got[0] - want))
+                    / max(1.0, np.max(np.abs(want))))
+    assert worst <= 1e-13, worst
+
+
+def _planted_family(n):
+    """Seeded inputs H = eta^-1 h eta with h Hermitian and a real map eta.
+
+    |lam|, |rho|, |tau| <= 2, theta in [-3, 3]; theta = 0 on every tenth
+    draw, lam ~ 1e-6 on every seventh, and c1 (which conjugation leaves
+    alone) set to 0, 1e-9 or 1e-12 on three of every five draws.
+    """
+    rng = np.random.default_rng(2024)
+    for k in range(n):
+        theta = 0.0 if k % 10 == 0 else float(rng.uniform(-3.0, 3.0))
+        a = rng.uniform(-1.0, 1.0, 10)
+        a[0] = (a[0], 0.0, 1e-9, 1e-12, a[0])[k % 5]
+        b = np.zeros(10)
+        b[2], b[3], b[9] = a[5] / 2, -a[4] / 2, -theta * a[8] / 2
+        h = build_general(HamiltonianCoeffs(tuple(a + 1j * b)), theta)
+        lam, rho, tau = (float(x) for x in rng.uniform(-2.0, 2.0, 3))
+        if k % 7 == 0:
+            lam *= 1e-6
+        ham = adjoint_poly(DysonParams(lam, rho, tau, theta).inverse(), h,
+                           route="oracle")
+        yield extract_coeffs(ham), theta
+
+
+def test_elimination_certifies_what_the_multistart_certifies():
+    certified = 0
+    for coeffs, theta in _planted_family(200):
+        params, residual = solve_generic_numeric(coeffs, theta)
+        _, multi = solve_generic_multistart(coeffs, theta)
+        assert residual <= CERT_TOL or multi > CERT_TOL, (coeffs, theta)
+        if residual <= CERT_TOL:
+            ham = build_general(coeffs, theta)
+            conj = adjoint_poly(params, ham, route="oracle")
+            assert hermiticity_residual(conj) <= 1e-8 * max(
+                1.0, ham.max_abs_coeff())
+        certified += residual <= CERT_TOL
+    assert certified == 200   # every draw is planted, so a map exists
+
+
+def test_elimination_never_calls_the_optimizers(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an optimizer was called")
+    monkeypatch.setattr(models, "minimize", forbidden)
+    monkeypatch.setattr(models, "least_squares", forbidden)
+    for coeffs, theta in _planted_family(10):
+        assert solve_generic_numeric(coeffs, theta)[1] <= CERT_TOL
+
+
 def _counting_least_squares(monkeypatch):
     calls = []
     real = models.least_squares
@@ -408,7 +476,7 @@ def test_solver_stops_at_first_certified_start(monkeypatch):
     planted = DysonParams(0.6, -0.4, 0.3, theta)
     ham = adjoint_poly(planted.inverse(), h, route="oracle")
     calls = _counting_least_squares(monkeypatch)
-    params, residual = solve_generic_numeric(extract_coeffs(ham), theta)
+    params, residual = solve_generic_multistart(extract_coeffs(ham), theta)
     assert len(calls) == 1
     assert residual <= CERT_TOL
     assert hermiticity_residual(adjoint_poly(params, ham)) < 1e-8
@@ -418,7 +486,8 @@ def test_solver_generic_input_runs_every_start(monkeypatch):
     rng = np.random.default_rng(5)
     z = rng.uniform(-1.0, 1.0, 10) + 1j * rng.uniform(-1.0, 1.0, 10)
     calls = _counting_least_squares(monkeypatch)
-    params, residual = solve_generic_numeric(HamiltonianCoeffs(tuple(z)), 0.7)
+    params, residual = solve_generic_multistart(HamiltonianCoeffs(tuple(z)),
+                                                0.7)
     assert len(calls) == 16
     # best residual of the same 16 starts with every residual computed by
     # adjoint_poly; the finite-difference optimizers settle within ~1e-8
