@@ -52,6 +52,7 @@ from .models import (
 from .representations import (
     count_conjugate_pairs,
     diagonalize_classify,
+    enlarged_dims,
     make_representation,
     poly_to_matrix,
 )
@@ -79,6 +80,9 @@ _MODEL_PARAMS = {
 
 # classify rejects a grid of more points than this before building it
 MAX_GRID_POINTS = 10 ** 6
+# spectrum rejects a truncation whose enlarged matrix has more rows than
+# this before building any matrix
+MAX_MATRIX_SIZE = 4096
 
 _CSV_FIELDS = ("theta", "lambda_re", "lambda_im", "rho", "tau",
                "verdict", "margin_ineq1", "margin_ineq2")
@@ -149,6 +153,10 @@ def _check_keys(cfg, allowed, where="config"):
     if unknown:
         raise ConfigError(f"unknown {where} keys: {unknown} "
                           f"(allowed: {sorted(allowed)})")
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _number(value, name):
@@ -382,17 +390,28 @@ def _representation_from(cfg, model):
         raise ConfigError(f"representation.kind must be fock, planar or "
                           f"circle, got {kind!r}")
     dims = rep_cfg.get("dims")
+    if kind == "planar":
+        axes = dims if isinstance(dims, list) else [dims, dims]
+        valid = len(axes) == 2 and all(_is_int(d) and d >= 1 for d in axes)
+        want = "a positive integer or a list of two positive integers"
+    else:
+        axes = [dims]
+        valid = _is_int(dims) and dims >= (1 if kind == "fock" else 0)
+        want = ("a positive integer" if kind == "fock"
+                else "a non-negative integer")
+    if not valid:
+        raise ConfigError(f"representation.dims must be {want} for {kind}, "
+                          f"got {json.dumps(dims)}")
+    delta = rep_cfg.get("delta")
+    if delta is not None and (not _is_int(delta) or delta < 1):
+        raise ConfigError("representation.delta must be a positive integer")
+    size = (2 * dims + 1 if kind == "circle"
+            else math.prod(enlarged_dims(axes, delta)))
+    if size > MAX_MATRIX_SIZE:
+        raise ConfigError(f"the enlarged truncation has {size} states; at "
+                          f"most {MAX_MATRIX_SIZE} are allowed")
     if isinstance(dims, list):
         dims = tuple(dims)
-    if not (isinstance(dims, int) and not isinstance(dims, bool)) \
-            and not (isinstance(dims, tuple)
-                     and all(isinstance(d, int) for d in dims)):
-        raise ConfigError("representation.dims must be an integer or a "
-                          "list of integers")
-    delta = rep_cfg.get("delta")
-    if delta is not None and (not isinstance(delta, int)
-                              or isinstance(delta, bool) or delta < 1):
-        raise ConfigError("representation.delta must be a positive integer")
     j0 = _number(rep_cfg.get("j0", 0.0), "representation.j0")
     return kind, dims, delta, j0
 

@@ -22,6 +22,7 @@ truncation sizes.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +39,11 @@ INCONCLUSIVE = "Inconclusive"
 
 @dataclass(frozen=True)
 class Representation:
-    """Generator matrices for one realization at one truncation size."""
+    """Generator matrices for one realization at one truncation size.
+
+    Planar representations also carry the 1-D oscillator factors
+    (x1, p1, y1, q1) the generators are Kronecker products of.
+    """
 
     kind: str
     theta: float
@@ -47,6 +52,7 @@ class Representation:
     U: np.ndarray = field(repr=False)
     V: np.ndarray = field(repr=False)
     J: np.ndarray = field(repr=False)
+    factors: tuple = field(default=(), repr=False)
 
     @property
     def size(self):
@@ -93,7 +99,10 @@ def make_representation(kind, theta, dims, j0=0.0):
         s = np.sqrt(theta / 2)
         u = s * (a + ad)
         v = -1j * s * (a - ad)
-        j = ad @ a + j0 * np.eye(n)
+        # a^dag a is diagonal with entries sqrt(k) * sqrt(k), the one
+        # nonzero product of each diagonal entry of the matrix product
+        root = np.sqrt(np.arange(n, dtype=float))
+        j = np.diag(root * root + j0)
         return Representation("fock", theta, (n,), j0, u, v, j.astype(complex))
     if kind == "planar":
         if np.isscalar(dims):
@@ -108,12 +117,14 @@ def make_representation(kind, theta, dims, j0=0.0):
         p1 = 1j * (xa.T - xa) / np.sqrt(2)
         y1 = (ya + ya.T) / np.sqrt(2)
         q1 = 1j * (ya.T - ya) / np.sqrt(2)
-        x, px = np.kron(x1, iy), np.kron(p1, iy)
-        y, py = np.kron(ix, y1), np.kron(ix, q1)
-        j = y @ px - x @ py
-        u = x - theta / 2 * py
-        v = y + theta / 2 * px
-        return Representation("planar", theta, (nx, ny), 0.0, u, v, j)
+        u = np.kron(x1, iy) - theta / 2 * np.kron(ix, q1)
+        v = np.kron(ix, y1) + theta / 2 * np.kron(p1, iy)
+        # y p_x - x p_y by the mixed-product rule; adding 0.0 turns the
+        # negative zeros of the elementwise products into the +0 that the
+        # matrix products gave, so J keeps their bytes
+        j = np.kron(p1, y1) - np.kron(x1, q1) + 0.0
+        return Representation("planar", theta, (nx, ny), 0.0, u, v, j,
+                              (x1, p1, y1, q1))
     if kind == "circle":
         m = int(dims)
         if m < 0:
@@ -126,22 +137,86 @@ def make_representation(kind, theta, dims, j0=0.0):
 
 
 def poly_to_matrix(p, rep):
-    """Map a normal-ordered polynomial to its matrix in a representation."""
+    """Map a normal-ordered polynomial to its matrix in a representation.
+
+    The monomial U^a V^b J^c maps to the ordered product of its factors.
+    On fock and circle, J is diagonal and acts as a column scaling; on the
+    planar grid every monomial is assembled from 1-D factors.
+    """
     if p.theta != rep.theta:
         raise ValueError(
             f"polynomial theta {p.theta} != representation theta {rep.theta}")
+    if rep.kind == "planar":
+        return _planar_matrix(p, rep)
+    # complex, so U @ U runs in zgemm as the identity-started product did
+    u, v = rep.U.astype(complex), rep.V.astype(complex)
+    jdiag = np.diagonal(rep.J)
     out = np.zeros((rep.size, rep.size), dtype=complex)
-    eye = rep.identity()
+    diag = out.reshape(-1)[::rep.size + 1]
     for (a, b, c), w in p.terms.items():
         if rep.kind == "circle" and (a or b):
             raise ValueError(
                 "circle representation carries only polynomials in J")
-        term = eye
-        for mat, e in ((rep.U, a), (rep.V, b), (rep.J, c)):
-            for _ in range(e):
-                term = term @ mat
+        if not (a or b):
+            # a polynomial in J alone is diagonal: add only the diagonal
+            term = 1.0
+            for _ in range(c):
+                term = term * jdiag
+            diag += w * term
+            continue
+        factors = [u] * a + [v] * b
+        term = factors[0]
+        for mat in factors[1:]:
+            term = term @ mat
+        for _ in range(c):
+            term = term * jdiag
         out += w * term
     return out
+
+
+def _planar_matrix(p, rep):
+    """Planar matrix of p as one contraction of Kronecker pairs.
+
+    Each monomial expands into pairs (A, B) of 1-D words, with products
+    of nx x nx and ny x ny matrices only; the sum of c A (x) B over all
+    pairs is a single (nx^2, P) @ (P, ny^2) product, reshaped to n x n.
+    """
+    nx, ny = rep.dims
+    h = rep.theta / 2
+    # U, V, J as Kronecker pairs c A (x) B: A is a word in x1 ("x") and p1
+    # ("p"), B a word in y1 ("y") and q1 ("q"); the empty word is 1
+    gens = ({("x", ""): 1.0, ("", "q"): -h},      # U = x1(x)1 - h 1(x)q1
+            {("", "y"): 1.0, ("p", ""): h},       # V = 1(x)y1 + h p1(x)1
+            {("p", "y"): 1.0, ("x", "q"): -1.0})  # J = p1(x)y1 - x1(x)q1
+    pairs = {}
+    for (a, b, c), w in p.terms.items():
+        expansion = {("", ""): w}
+        for gen in [gens[0]] * a + [gens[1]] * b + [gens[2]] * c:
+            grown = {}
+            for (wa, wb), coef in expansion.items():
+                for (fa, fb), g in gen.items():
+                    key = (wa + fa, wb + fb)
+                    grown[key] = grown.get(key, 0) + coef * g
+            expansion = grown
+        for key, coef in expansion.items():
+            pairs[key] = pairs.get(key, 0) + coef
+    if not pairs:
+        return np.zeros((rep.size, rep.size), dtype=complex)
+    x1, p1, y1, q1 = (m.astype(complex) for m in rep.factors)
+    words_x = {"": np.eye(nx, dtype=complex), "x": x1, "p": p1}
+    words_y = {"": np.eye(ny, dtype=complex), "y": y1, "q": q1}
+
+    def word(cache, w):
+        if w not in cache:
+            cache[w] = word(cache, w[:-1]) @ cache[w[-1]]
+        return cache[w]
+
+    left = np.stack([word(words_x, wa).reshape(-1) for wa, _ in pairs],
+                    axis=1)
+    right = np.stack([coef * word(words_y, wb).reshape(-1)
+                      for (_, wb), coef in pairs.items()])
+    out = (left @ right).reshape(nx, nx, ny, ny).transpose(0, 2, 1, 3)
+    return out.reshape(nx * ny, nx * ny)
 
 
 def commutator_fidelity(rep):
@@ -190,36 +265,48 @@ class SpectrumReport:
     diagnostic: str = ""
 
 
-def _grow_dims(rep, delta):
-    if rep.kind == "planar":
-        nx, ny = rep.dims
-        dx = delta if delta is not None else max(nx // 4, 1)
-        dy = delta if delta is not None else max(ny // 4, 1)
-        return (nx + dx, ny + dy)
-    (n,) = rep.dims
-    d = delta if delta is not None else max(n // 4, 1)
-    return n + d
+def enlarged_dims(dims, delta=None):
+    """Per-axis sizes of the truncation `diagonalize_classify` compares
+    against: each axis of `dims` grown by `delta`, by default by a quarter
+    (at least one level)."""
+    return tuple(n + (delta if delta is not None else max(n // 4, 1))
+                 for n in dims)
 
 
 def _greedy_match(a, b):
     """One-to-one nearest pairing of two eigenvalue arrays (len(a) <= len(b)).
 
-    Returns index pairs (i, j) in ascending distance order; every i used
-    exactly once, every j at most once.
+    Returns index pairs (i, j) in ascending distance order, ties broken by
+    the flat index i * len(b) + j; every i used exactly once, every j at
+    most once.  A heap holds each unmatched row's nearest free column; a
+    row whose column was taken is sorted (stably, on first need) and moves
+    on to its next free column.
     """
+    nb = len(b)
+    if not nb:
+        return []
     dist = np.abs(a[:, None] - b[None, :])
-    order = np.argsort(dist, axis=None, kind="stable")
-    used_a = np.zeros(len(a), dtype=bool)
-    used_b = np.zeros(len(b), dtype=bool)
+    # (distance, flat index, row, position in the row's sorted order)
+    heap = [(dist[i, j], i * nb + j, i, 0)
+            for i, j in enumerate(np.argmin(dist, axis=1).tolist())]
+    heapq.heapify(heap)
+    orders = {}
+    free = np.ones(nb, dtype=bool)
     pairs = []
-    for flat in order:
-        i, j = divmod(int(flat), len(b))
-        if used_a[i] or used_b[j]:
+    while heap:
+        _, flat, i, k = heapq.heappop(heap)
+        j = flat - i * nb
+        if free[j]:
+            free[j] = False
+            pairs.append((i, j))
             continue
-        used_a[i] = used_b[j] = True
-        pairs.append((i, j))
-        if len(pairs) == len(a):
-            break
+        if i not in orders:
+            orders[i] = np.argsort(dist[i], kind="stable").tolist()
+        order = orders[i]
+        while not free[order[k]]:
+            k += 1
+        j = order[k]
+        heapq.heappush(heap, (dist[i, j], i * nb + j, i, k))
     return pairs
 
 
@@ -256,8 +343,9 @@ def diagonalize_classify(p, rep, delta=None):
     """
     if rep.size < 16:
         raise ValueError("matrix size below 16 is all edge, no interior")
-    big = make_representation(rep.kind, rep.theta, _grow_dims(rep, delta),
-                              rep.j0)
+    big = enlarged_dims(rep.dims, delta)
+    big = make_representation(rep.kind, rep.theta,
+                              big if rep.kind == "planar" else big[0], rep.j0)
     try:
         e1 = eig(poly_to_matrix(p, rep), right=False)
         e2 = eig(poly_to_matrix(p, big), right=False)

@@ -147,3 +147,61 @@ def test_circle_pair_count_matches_first_match_loop():
         assert pairs == _first_match_pairs(poly, rep)
         counts.append(pairs)
     assert counts[0] == 6 and {0, 6} <= set(counts[1:])
+
+
+def _no_matrix(monkeypatch):
+    def no_rep(*args, **kwargs):
+        raise AssertionError("a representation was built")
+    monkeypatch.setattr(cli, "make_representation", no_rep)
+
+
+@pytest.mark.parametrize("rep", [
+    {"kind": "fock", "dims": [60]},
+    {"kind": "circle", "dims": [3, 3]},
+    {"kind": "planar", "dims": [8, 8, 8]},
+    {"kind": "planar", "dims": [8]},
+    {"kind": "fock", "dims": 0},
+    {"kind": "circle", "dims": -1},
+    {"kind": "planar", "dims": [8, -1]},
+    {"kind": "planar", "dims": True},
+    {"kind": "fock", "dims": 60.0},
+], ids=["fock-list", "circle-list", "planar-three-axes", "planar-one-axis",
+        "fock-zero", "circle-negative", "planar-negative", "planar-bool",
+        "fock-float"])
+def test_malformed_dims_are_a_config_error(rep, capsys, monkeypatch):
+    _no_matrix(monkeypatch)
+    code = cli.main(["spectrum", "-c", "configs/spectrum_fock_pairs.json",
+                     "--set", "representation=" + json.dumps(rep)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "representation.dims must be" in captured.err
+
+
+@pytest.mark.parametrize("rep", [
+    {"kind": "fock", "dims": 3277, "delta": 820},
+    {"kind": "fock", "dims": 10 ** 6},
+    {"kind": "planar", "dims": [63, 64], "delta": 1},
+    {"kind": "circle", "dims": 2048},
+], ids=["fock-enlarged", "fock-huge", "planar-enlarged", "circle"])
+def test_oversized_truncation_is_rejected_before_allocation(rep, capsys,
+                                                           monkeypatch):
+    # one state over MAX_MATRIX_SIZE (4096) after enlargement, except the
+    # huge case, which must fail just as early
+    _no_matrix(monkeypatch)
+    code = cli.main(["spectrum", "-c", "configs/spectrum_fock_pairs.json",
+                     "--set", "representation=" + json.dumps(rep)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"at most {cli.MAX_MATRIX_SIZE} are allowed" in captured.err
+
+
+@pytest.mark.parametrize("rep", [
+    {"kind": "fock", "dims": 3277},
+    {"kind": "planar", "dims": [63, 63], "delta": 1},
+    {"kind": "circle", "dims": 2047},
+])
+def test_truncation_at_the_limit_is_accepted(rep):
+    kind, dims, delta, _ = cli._representation_from(
+        {"representation": rep}, "pt5-general")
+    assert (kind, delta) == (rep["kind"], rep.get("delta"))
+    assert dims == (tuple(rep["dims"]) if kind == "planar" else rep["dims"])

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from deformed_e2 import OperatorPoly
+from deformed_e2 import representations
 from deformed_e2.dyson import DysonParams
 from deformed_e2.models import (
+    BrokenPhaseError,
     Mu,
     build_pt5,
     hermitian_counterpart_pt5,
@@ -14,6 +16,7 @@ from deformed_e2.models import (
 from deformed_e2.representations import (
     ALL_REAL,
     Representation,
+    _greedy_match,
     commutator_fidelity,
     diagonalize_classify,
     eta_matrix,
@@ -153,3 +156,170 @@ def test_isospectral_detects_mismatch():
     herm = hermitian_counterpart_pt5(WORKED, 12.0) + 0.5
     iso = isospectral_check(ham, herm, rep, delta=20)
     assert not iso.passed
+
+
+# ---------------------------------------------------------------------------
+# poly_to_matrix against dense products
+
+
+def _dense_matrix(p, rep):
+    """Reference route: each monomial as a chain of dense products started
+    from the identity, identity() @ U ... @ V ... @ J ..."""
+    out = np.zeros((rep.size, rep.size), dtype=complex)
+    for (a, b, c), w in p.terms.items():
+        term = rep.identity()
+        for mat, e in ((rep.U, a), (rep.V, b), (rep.J, c)):
+            for _ in range(e):
+                term = term @ mat
+        out += w * term
+    return out
+
+
+def _random_poly(rng, theta, degree):
+    return OperatorPoly({(a, b, c): complex(*rng.normal(size=2))
+                         for a in range(degree + 1)
+                         for b in range(degree + 1 - a)
+                         for c in range(degree + 1 - a - b)}, theta)
+
+
+def _matrix_draws(count, seed=8):
+    """Seeded polynomials: pt5-general H, pt5-special H and h, and
+    degree-3 and degree-4 products of random polynomials."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(count):
+        theta = float(rng.uniform(0.5, 12.0))
+        draws.append(build_pt5(Mu(*rng.uniform(-2.0, 2.0, 9)), theta))
+        special = with_special_choice(Mu(
+            mu1=rng.uniform(0.8, 1.2), mu2=rng.uniform(-0.3, 0.3),
+            mu3=rng.uniform(0.5, 1.5), mu4=rng.uniform(1.5, 2.5),
+            mu5=rng.uniform(0.5, 1.5), mu6=rng.uniform(0.5, 1.5),
+            mu8=rng.uniform(-0.2, 0.2)))
+        draws.append(build_pt5(special, theta))
+        try:
+            draws.append(hermitian_counterpart_pt5(special, theta))
+        except BrokenPhaseError:
+            pass
+        quad = _random_poly(rng, theta, 2)
+        draws.append(quad * _random_poly(rng, theta, 1))
+        draws.append(quad * _random_poly(rng, theta, 2))
+    return draws
+
+
+def test_generators_keep_the_bytes_of_dense_products():
+    for n, j0 in ((1, 0.0), (24, 0.25), (75, -0.3)):
+        rep = make_representation("fock", 1.3, n, j0=j0)
+        a = np.diag(np.sqrt(np.arange(1, n, dtype=float)), 1)
+        want = (a.T @ a + j0 * np.eye(n)).astype(complex)
+        assert rep.J.tobytes() == want.tobytes()
+    for theta, (nx, ny) in ((0.5, (12, 12)), (3.0, (5, 9))):
+        rep = make_representation("planar", theta, (nx, ny))
+        x1, p1, y1, q1 = rep.factors
+        ix, iy = np.eye(nx), np.eye(ny)
+        x, px = np.kron(x1, iy), np.kron(p1, iy)
+        y, py = np.kron(ix, y1), np.kron(ix, q1)
+        assert rep.U.tobytes() == (x - theta / 2 * py).tobytes()
+        assert rep.V.tobytes() == (y + theta / 2 * px).tobytes()
+        assert rep.J.tobytes() == (y @ px - x @ py).tobytes()
+
+
+def test_fock_and_circle_matrices_keep_the_bytes_of_dense_products():
+    rng = np.random.default_rng(9)
+    draws = _matrix_draws(12)
+    assert max(p.degree for p in draws) == 4
+    for p in draws:
+        rep = make_representation("fock", p.theta, int(rng.integers(16, 90)),
+                                  j0=float(rng.choice([0.0, 0.25, -0.3])))
+        assert poly_to_matrix(p, rep).tobytes() == \
+            _dense_matrix(p, rep).tobytes()
+    for _ in range(20):
+        theta = float(rng.uniform(0.1, 2.0))
+        p = OperatorPoly({(0, 0, c): complex(*rng.normal(size=2))
+                          for c in range(5)}, theta)
+        rep = make_representation("circle", theta, int(rng.integers(0, 12)))
+        assert poly_to_matrix(p, rep).tobytes() == \
+            _dense_matrix(p, rep).tobytes()
+
+
+def test_planar_matrix_matches_dense_products():
+    rng = np.random.default_rng(10)
+    for p in _matrix_draws(12):
+        dims = tuple(int(d) for d in rng.integers(3, 10, 2))
+        rep = make_representation("planar", p.theta, dims)
+        got, want = poly_to_matrix(p, rep), _dense_matrix(p, rep)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    zero = OperatorPoly.zero(0.5)
+    rep = make_representation("planar", 0.5, (3, 4))
+    assert np.array_equal(poly_to_matrix(zero, rep), np.zeros((12, 12)))
+
+
+def test_planar_spectra_match_dense_products(monkeypatch):
+    rng = np.random.default_rng(11)
+    draws = [p for p in _matrix_draws(3, seed=12) if p.degree == 2]
+    # at theta = 2, U^2 + V^2 is an oscillator whose low levels converge on
+    # these small grids; perturbations give some conjugate pairs
+    oscillator = OperatorPoly({(2, 0, 0): 1.0, (0, 2, 0): 1.0}, 2.0)
+    draws.append(oscillator)
+    draws += [oscillator + 0.3 * _random_poly(rng, 2.0, 1) for _ in range(8)]
+    reports = []
+    for p in draws:
+        dims = tuple(int(d) for d in rng.integers(6, 10, 2))
+        rep = make_representation("planar", p.theta, dims)
+        reports.append((p, rep, diagonalize_classify(p, rep)))
+    monkeypatch.setattr(representations, "poly_to_matrix", _dense_matrix)
+    for p, rep, got in reports:
+        want = diagonalize_classify(p, rep)
+        assert got.flags == want.flags
+        assert (got.verdict, got.pairs) == (want.verdict, want.pairs)
+    assert {r.verdict for *_, r in reports} == {
+        "AllReal", "ConjugatePairs", "Inconclusive"}
+
+
+# ---------------------------------------------------------------------------
+# _greedy_match against a flat stable argsort
+
+
+def _flat_argsort_match(a, b):
+    """Reference pairing: walk every (i, j) in one stable argsort of the
+    flattened distance matrix and keep the pairs whose i and j are free."""
+    dist = np.abs(a[:, None] - b[None, :])
+    used_a = np.zeros(len(a), dtype=bool)
+    used_b = np.zeros(len(b), dtype=bool)
+    pairs = []
+    for flat in np.argsort(dist, axis=None, kind="stable"):
+        i, j = divmod(int(flat), len(b))
+        if used_a[i] or used_b[j]:
+            continue
+        used_a[i] = used_b[j] = True
+        pairs.append((i, j))
+        if len(pairs) == len(a):
+            break
+    return pairs
+
+
+def test_greedy_match_equals_flat_argsort_pairing():
+    rng = np.random.default_rng(13)
+    cases = []
+    for k in range(150):
+        n1 = int(rng.integers(1, 50))
+        n2 = n1 + (0 if k % 3 == 0 else int(rng.integers(1, 30)))
+        a = rng.normal(size=n1) + 1j * rng.normal(size=n1)
+        b = np.concatenate([a + 1e-7 * rng.normal(size=n1),
+                            rng.normal(size=n2 - n1)])
+        rng.shuffle(b)
+        if k % 2:
+            # exact ties: a coarse grid of values, many repeated
+            a, b = np.round(a, 1), np.round(b, 1)
+        cases.append((a, b))
+    # duplicated eigenvalues on both sides
+    a = np.repeat(rng.normal(size=6), 4).astype(complex)
+    cases.append((a, np.concatenate([a, a[:5]])))
+    cases.append((np.full(7, 2.0 + 0j), np.full(9, 2.0 + 0j)))
+    # a degenerate circle-like spectrum, E(m) = E(-m) = m^2
+    m = np.arange(-8, 9)
+    cases.append(((m * m).astype(complex), (m * m).astype(complex)))
+    cases.append(((m * m).astype(complex),
+                  np.concatenate([m * m, np.arange(9, 13) ** 2]).astype(complex)))
+    for a, b in cases:
+        assert _greedy_match(a, b) == _flat_argsort_match(a, b)
