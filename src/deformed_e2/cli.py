@@ -50,11 +50,9 @@ from .models import (
     with_special_choice,
 )
 from .representations import (
-    count_conjugate_pairs,
     diagonalize_classify,
     enlarged_dims,
     make_representation,
-    poly_to_matrix,
 )
 from .verify import KNOWN_FAULTS, all_passed, render_json, render_text, run_suites
 
@@ -444,21 +442,9 @@ def _spectrum_operator(model, values, theta, which):
     return hermitian_counterpart_pt5(mu, theta), extras
 
 
-def _circle_report(poly, rep):
-    """Exact spectrum of a J-polynomial on the circle (diagonal matrix)."""
-    m = poly_to_matrix(poly, rep)
-    e = np.sort_complex(np.diagonal(m))
-    radius = float(np.max(np.abs(e))) if len(e) else 0.0
-    tol = 1e-12 * max(1.0, radius)
-    nonreal = [complex(z) for z in e if abs(z.imag) > tol]
-    verdict = "AllReal" if not nonreal else "ConjugatePairs"
-    pairs = count_conjugate_pairs(nonreal, lambda z: tol)
-    return ([complex(z) for z in e], [True] * len(e), verdict, pairs, "")
-
-
 def cmd_spectrum(cfg):
     _check_keys(cfg, ("model", "fixed", "theta", "hamiltonian",
-                      "representation", "modes", "output"))
+                      "representation", "output"))
     model = _require_model(cfg)
     fixed = _model_values(cfg, model, "spectrum")
     theta = _number(cfg.get("theta", 0.0), "theta")
@@ -470,13 +456,7 @@ def cmd_spectrum(cfg):
     try:
         poly, extras = _spectrum_operator(model, fixed, theta, which)
         rep = make_representation(kind, theta, dims, j0=j0)
-        if kind == "circle":
-            eigs, flags, verdict, pairs, diagnostic = _circle_report(poly, rep)
-        else:
-            report = diagonalize_classify(poly, rep, delta=delta)
-            eigs, flags = report.eigenvalues, report.flags
-            verdict, pairs = report.verdict, report.pairs
-            diagnostic = report.diagnostic
+        report = diagonalize_classify(poly, rep, delta=delta)
     except BrokenPhaseError:
         raise
     except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
@@ -492,17 +472,15 @@ def cmd_spectrum(cfg):
                            "delta": delta, "j0": j0},
         "hamiltonian": which,
         "eigenvalues": [{"re": z.real, "im": z.imag, "converged": f}
-                        for z, f in zip(eigs, flags)],
-        "verdict": verdict,
-        "pairs": pairs,
-        "diagnostic": diagnostic,
+                        for z, f in zip(report.eigenvalues, report.flags)],
+        "verdict": report.verdict,
+        "pairs": report.pairs,
+        "diagnostic": report.diagnostic,
     }
     if model == "toy":
         eps = extras["epsilon"]
         mu1 = fixed.get("mu1", 1.0)
-        nmax = cfg.get("modes", dims if isinstance(dims, int) else 3)
-        if not isinstance(nmax, int) or isinstance(nmax, bool) or nmax < 0:
-            raise ConfigError("modes must be a non-negative integer")
+        nmax = dims if isinstance(dims, int) else 3
         doc["conventions"] = [
             {"n": n,
              "oracle": toy_spectrum(mu1, eps, n, "oracle"),
@@ -534,6 +512,8 @@ def cmd_ep(cfg):
     fixed = _model_values(cfg, model, "ep", {name: (lo, hi)})
     theta = _number(cfg.get("theta", 0.0), "theta")
     tol = _number(cfg.get("tol", BOUNDARY_TOL), "tol")
+    if tol <= 0:
+        raise ConfigError(f"tol must be positive, got {tol!r}")
     mode = "special" if model == "pt5-special" else "general"
 
     def family(t):

@@ -110,28 +110,42 @@ def _lam_functions(lam):
     return ch, sh, sh / lam, one_minus_ch / lam, one_minus_ch / lam ** 2
 
 
-def adjoint_generator_closed(params, g):
-    """Closed-form image of a generator under eta . eta^{-1}.
+_BASIS_INDEX = {"U": 0, "V": 1, "J": 2}
 
-    For example eta U eta^{-1} = (U + rho*theta/lam) cosh(lam)
-    - i (V + tau*theta/lam) sinh(lam) - rho*theta/lam, regrouped here so each
-    coefficient stays finite as lam -> 0.
+
+def _fill_images(ch, sh, s1, c2, c3, rho, tau, theta, s):
+    """Store in s[..., i, k] the (1, U, V, J) component i of eta g_k eta^{-1},
+    g = (1, U, V, J), from `_lam_functions` or `lam_functions_array` values;
+    entries not set must hold 0.  For example eta U eta^{-1} =
+    (U + rho*theta/lam) cosh(lam) - i (V + tau*theta/lam) sinh(lam)
+    - rho*theta/lam, regrouped so each coefficient stays finite at lam -> 0.
     """
-    th = params.theta
-    ch, sh, s1, c2, c3 = _lam_functions(params.lam)
-    rho, tau = complex(params.rho), complex(params.tau)
-    if g == "U":
-        return AdjointImage(s0=-rho * th * c2 - 1j * tau * th * s1,
-                            sU=ch, sV=-1j * sh, sJ=0j)
-    if g == "V":
-        return AdjointImage(s0=-tau * th * c2 + 1j * rho * th * s1,
-                            sU=1j * sh, sV=ch, sJ=0j)
-    if g == "J":
-        return AdjointImage(s0=th * (rho * rho + tau * tau) * c3,
-                            sU=-1j * tau * s1 + rho * c2,
-                            sV=1j * rho * s1 + tau * c2,
-                            sJ=1.0 + 0j)
-    raise ValueError(f"unknown generator tag {g!r}")
+    s[..., 0, 0] = s[..., 3, 3] = 1.0 + 0j
+    s[..., 0, 1] = -rho * theta * c2 - 1j * tau * theta * s1
+    s[..., 1, 1] = ch
+    s[..., 2, 1] = -1j * sh
+    s[..., 0, 2] = -tau * theta * c2 + 1j * rho * theta * s1
+    s[..., 1, 2] = 1j * sh
+    s[..., 2, 2] = ch
+    s[..., 0, 3] = theta * (rho * rho + tau * tau) * c3
+    s[..., 1, 3] = -1j * tau * s1 + rho * c2
+    s[..., 2, 3] = 1j * rho * s1 + tau * c2
+
+
+def closed_images(params):
+    """Closed-form images of (U, V, J) under eta . eta^{-1}."""
+    # object entries keep each value as the formula computed it, type and all
+    s = np.full((4, 4), 0j, dtype=object)
+    _fill_images(*_lam_functions(params.lam), complex(params.rho),
+                 complex(params.tau), params.theta, s)
+    return tuple(AdjointImage(*column) for column in s.T[1:])
+
+
+def adjoint_generator_closed(params, g):
+    """Closed-form image of one generator under eta . eta^{-1}."""
+    if g not in _BASIS_INDEX:
+        raise ValueError(f"unknown generator tag {g!r}")
+    return closed_images(params)[_BASIS_INDEX[g]]
 
 
 def lam_functions_array(lam):
@@ -156,21 +170,10 @@ def closed_image_columns(lam, rho, tau, theta):
 
     Returns s of shape (n, 4, 4): s[i, :, k] holds the (1, U, V, J)
     components of eta g_k eta^-1 for g = (1, U, V, J) and the i-th map; the
-    same formulas as `adjoint_generator_closed`, evaluated in numpy.
+    same formulas as `closed_images`, evaluated in numpy.
     """
-    ch, sh, s1, c2, c3 = lam_functions_array(lam)
     s = np.zeros((len(lam), 4, 4), dtype=complex)
-    s[:, 0, 0] = 1.0
-    s[:, 0, 1] = -rho * theta * c2 - 1j * tau * theta * s1
-    s[:, 1, 1] = ch
-    s[:, 2, 1] = -1j * sh
-    s[:, 0, 2] = -tau * theta * c2 + 1j * rho * theta * s1
-    s[:, 1, 2] = 1j * sh
-    s[:, 2, 2] = ch
-    s[:, 0, 3] = theta * (rho * rho + tau * tau) * c3
-    s[:, 1, 3] = -1j * tau * s1 + rho * c2
-    s[:, 2, 3] = 1j * rho * s1 + tau * c2
-    s[:, 3, 3] = 1.0
+    _fill_images(*lam_functions_array(lam), rho, tau, theta, s)
     return s
 
 
@@ -190,9 +193,6 @@ def ad_matrix(params):
     m[0, 2] = -1j * tau
     m[1, 2] = 1j * rho
     return m
-
-
-_BASIS_INDEX = {"U": 0, "V": 1, "J": 2}
 
 
 def adjoint_generator_oracle(params, g):

@@ -43,8 +43,8 @@ from scipy.optimize import brentq, least_squares, minimize
 from .algebra import OperatorPoly
 from .dyson import (
     DysonParams,
-    adjoint_generator_closed,
     closed_image_columns,
+    closed_images,
     lam_functions_array,
 )
 
@@ -238,8 +238,7 @@ def conjugation_matrix(params, table=None):
     # column k: the (1, U, V, J) components of the image of factor k
     s = np.zeros((4, 4), dtype=complex)
     s[0, 0] = 1.0
-    for k, g in enumerate(("U", "V", "J"), start=1):
-        img = adjoint_generator_closed(params, g)
+    for k, img in enumerate(closed_images(params), start=1):
         s[:, k] = (img.s0, img.sU, img.sV, img.sJ)
     return np.einsum("kln,km,lm->nm", table, s[:, _LEFT], s[:, _RIGHT])
 

@@ -17,7 +17,7 @@ circle   Fourier modes on the circle; only J is represented
 Truncation contaminates the highest few levels (the truncated ladder
 commutator [a, a^dag] fails only in its last diagonal entry), so algebra
 checks run on an interior block and spectra are filtered by comparing two
-truncation sizes.
+truncation sizes (on the circle, where J is diagonal, they are exact).
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ def make_representation(kind, theta, dims, j0=0.0):
 
     dims: N for fock, (N_x, N_y) or a single int for planar, M for circle
     (matrix size 2M+1).  Small sizes are allowed for inspection, but
-    `diagonalize_classify` insists on size >= 16.
+    `diagonalize_classify` insists on size >= 16 for fock and planar.
     """
     theta = float(theta)
     if kind == "fock":
@@ -250,7 +250,7 @@ def eta_matrix(params, rep):
 class SpectrumReport:
     """Eigenvalues at the base truncation with a convergence verdict.
 
-    `eigenvalues` is the full base-truncation spectrum sorted by (re, im),
+    `eigenvalues` is the full base-truncation spectrum in `_canonical_order`,
     `flags` marks which of them are stable against the enlarged truncation,
     and `converged` is that stable sublist; verdict is AllReal,
     ConjugatePairs (with `pairs` counting them) or Inconclusive, judged on
@@ -332,31 +332,47 @@ def count_conjugate_pairs(values, tol):
     return pairs
 
 
+def _canonical_order(e):
+    """Indices sorting e by (re, im), real parts within 1e-12 (1 + |z|) of
+    the previous one counting as equal: a conjugate pair split by rounding
+    comes out negative-imaginary first, whatever its real parts' last bits."""
+    order = np.lexsort((e.imag, e.real))
+    z = e[order]
+    jump = np.diff(z.real, prepend=z.real[:1]) > 1e-12 * (1 + np.abs(z))
+    return order[np.lexsort((z.imag, np.cumsum(jump)))]
+
+
 def diagonalize_classify(p, rep, delta=None):
     """Spectrum of p in the representation, with truncation filtering.
 
-    Diagonalizes at the representation's size and again with the truncation
-    enlarged by `delta` (default: a quarter), pairs eigenvalues greedily by
-    distance, and keeps those that moved less than 1e-6 (1 + |E|).  The
-    verdict inspects only the converged set, with reality tolerance
-    1e-6 times its spectral radius.
+    Fock and planar (size >= 16): diagonalizes again with the truncation
+    enlarged by `delta` (default: a quarter) and keeps the eigenvalues whose
+    greedy partner moved less than 1e-6 (1 + |E|); the verdict on them has
+    reality tolerance 1e-6 radius and pair tolerance 1e-6 (1 + |E|).  Circle:
+    the matrix is diagonal, all exact, both tolerances 1e-12 max(1, radius).
     """
-    if rep.size < 16:
-        raise ValueError("matrix size below 16 is all edge, no interior")
-    big = enlarged_dims(rep.dims, delta)
-    big = make_representation(rep.kind, rep.theta,
-                              big if rep.kind == "planar" else big[0], rep.j0)
-    try:
-        e1 = eig(poly_to_matrix(p, rep), right=False)
-        e2 = eig(poly_to_matrix(p, big), right=False)
-    except np.linalg.LinAlgError as exc:
-        return SpectrumReport((), (), (), INCONCLUSIVE,
-                              diagnostic=f"eigensolver failure: {exc}")
-    stable = np.zeros(len(e1), dtype=bool)
-    for i, j in _greedy_match(e1, e2):
-        if abs(e1[i] - e2[j]) < 1e-6 * (1 + abs(e1[i])):
-            stable[i] = True
-    order = np.lexsort((e1.imag, e1.real))
+    exact = rep.kind == "circle"
+    if exact:
+        e1 = np.diagonal(poly_to_matrix(p, rep))
+        stable = np.ones(len(e1), dtype=bool)
+    else:
+        if rep.size < 16:
+            raise ValueError("matrix size below 16 is all edge, no interior")
+        big = enlarged_dims(rep.dims, delta)
+        big = make_representation(rep.kind, rep.theta,
+                                  big if rep.kind == "planar" else big[0],
+                                  rep.j0)
+        try:
+            e1 = eig(poly_to_matrix(p, rep), right=False)
+            e2 = eig(poly_to_matrix(p, big), right=False)
+        except np.linalg.LinAlgError as exc:
+            return SpectrumReport((), (), (), INCONCLUSIVE,
+                                  diagnostic=f"eigensolver failure: {exc}")
+        stable = np.zeros(len(e1), dtype=bool)
+        for i, j in _greedy_match(e1, e2):
+            if abs(e1[i] - e2[j]) < 1e-6 * (1 + abs(e1[i])):
+                stable[i] = True
+    order = _canonical_order(e1)
     eigenvalues = tuple(complex(z) for z in e1[order])
     flags = tuple(bool(f) for f in stable[order])
     converged = tuple(z for z, f in zip(eigenvalues, flags) if f)
@@ -365,13 +381,17 @@ def diagonalize_classify(p, rep, delta=None):
                               diagnostic="no eigenvalue stable under "
                                          "truncation growth")
     radius = max(abs(z) for z in converged)
-    tol = 1e-6 * radius if radius > 0 else 1e-12
+    if exact:
+        tol = 1e-12 * max(1.0, radius)
+        pair_tol = lambda z: tol
+    else:
+        tol = 1e-6 * radius if radius > 0 else 1e-12
+        pair_tol = lambda z: 1e-6 * (1 + abs(z))
     nonreal = [z for z in converged if abs(z.imag) > tol]
     if not nonreal:
         return SpectrumReport(eigenvalues, flags, converged, ALL_REAL)
-    pairs = count_conjugate_pairs(nonreal, lambda z: 1e-6 * (1 + abs(z)))
     return SpectrumReport(eigenvalues, flags, converged, CONJUGATE_PAIRS,
-                          pairs=pairs)
+                          pairs=count_conjugate_pairs(nonreal, pair_tol))
 
 
 @dataclass(frozen=True)

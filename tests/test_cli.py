@@ -117,9 +117,13 @@ def test_classify_builds_a_pool_only_when_asked(tmp_path, monkeypatch):
      "unknown config keys: ['seed']"),
     (["hermitize", "-c", "configs/hermitize_special.json", "--set", "seed=1"],
      "unknown config keys: ['seed']"),
-], ids=["zero-flag", "config-key", "seed-key", "hermitize-seed-key"])
+    (["spectrum", "-c", "configs/spectrum_toy.json", "--set", "modes=3"],
+     "unknown config keys: ['modes']"),
+], ids=["zero-flag", "config-key", "seed-key", "hermitize-seed-key",
+        "spectrum-modes-key"])
 def test_workers_come_only_from_a_positive_flag(argv, message, capsys):
-    """Neither a worker count nor a solver seed is a config key."""
+    """Neither a worker count, a solver seed nor a toy `modes` count is a
+    config key."""
     code = cli.main(argv)
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""

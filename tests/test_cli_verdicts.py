@@ -7,7 +7,11 @@ import pytest
 
 from deformed_e2 import OperatorPoly, cli
 from deformed_e2.models import SYMMETRIC, Mu, classify_region
-from deformed_e2.representations import make_representation, poly_to_matrix
+from deformed_e2.representations import (
+    diagonalize_classify,
+    make_representation,
+    poly_to_matrix,
+)
 
 
 def test_uncertified_general_coeffs_search_is_unresolved(capsys):
@@ -105,6 +109,18 @@ def test_zero_mu1_is_a_config_error(argv, capsys, monkeypatch):
     assert "mu1 must be nonzero" in captured.err
 
 
+@pytest.mark.parametrize("tol", ["0", "-1"])
+def test_nonpositive_ep_tol_is_a_config_error(tol, capsys, monkeypatch):
+    def no_bisection(*args, **kwargs):
+        raise AssertionError("a bisection ran")
+    monkeypatch.setattr(cli, "find_exceptional_point", no_bisection)
+    code = cli.main(["ep", "-c", "configs/ep_theta_sweep.json",
+                     "--set", f"tol={tol}"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "tol must be positive" in captured.err
+
+
 def _first_match_pairs(poly, rep):
     """The circle's pair count by the loop it used before nearest-partner
     matching: each popped value takes the first partner within tolerance."""
@@ -143,7 +159,7 @@ def test_circle_pair_count_matches_first_match_loop():
                                    for k in range(5)}, theta))
     counts = []
     for poly in polys:
-        _, _, _, pairs, _ = cli._circle_report(poly, rep)
+        pairs = diagonalize_classify(poly, rep).pairs
         assert pairs == _first_match_pairs(poly, rep)
         counts.append(pairs)
     assert counts[0] == 6 and {0, 6} <= set(counts[1:])

@@ -138,6 +138,35 @@ def test_diagonalize_rejects_tiny_truncations():
         diagonalize_classify(OperatorPoly({(0, 0, 2): 1.0}, 1.0), rep)
 
 
+@pytest.mark.parametrize("terms, verdict, pairs", [
+    ({(0, 0, 2): 1.0, (0, 0, 1): 0.3}, "AllReal", 0),
+    ({(0, 0, 2): 1.0, (0, 0, 1): 1j}, "ConjugatePairs", 3),
+    # Im E(m) = 1e-13 m: below the reality cutoff 1e-12 max(1, radius)
+    ({(0, 0, 2): 1.0, (0, 0, 1): 1e-13j}, "AllReal", 0),
+])
+def test_circle_spectrum_is_exact_at_any_size(terms, verdict, pairs):
+    rep = make_representation("circle", 0.5, 3)  # 7 rows, below 16
+    p = OperatorPoly(terms, 0.5)
+    r = diagonalize_classify(p, rep)
+    exact = np.sort_complex(np.diagonal(poly_to_matrix(p, rep)))
+    assert r.eigenvalues == tuple(complex(z) for z in exact)
+    assert r.flags == (True,) * 7 and r.converged == r.eigenvalues
+    assert (r.verdict, r.pairs, r.diagnostic) == (verdict, pairs, "")
+    assert diagonalize_classify(p, rep, delta=1) == r
+
+
+def test_rounding_split_conjugate_pair_comes_out_negative_imaginary_first():
+    # E(j) = 2^10 j^2 - 2^-43 j + i j^3 on J = diag(-1, 0, 1): E(1) =
+    # (2^10 - 2^-43) + i and E(-1) rounds to 2^10 - i, conjugates whose real
+    # parts are one ulp apart
+    p = OperatorPoly({(0, 0, 2): 2.0 ** 10, (0, 0, 1): -2.0 ** -43,
+                      (0, 0, 3): 1j}, 0.5)
+    r = diagonalize_classify(p, make_representation("circle", 0.5, 1))
+    below = float(np.nextafter(2.0 ** 10, 0.0))
+    assert r.eigenvalues == (0j, 2.0 ** 10 - 1j, complex(below, 1.0))
+    assert (r.verdict, r.pairs) == ("ConjugatePairs", 1)
+
+
 def test_isospectral_worked_point():
     rep = make_representation("fock", 12.0, 80)
     ham = build_pt5(WORKED, 12.0)
@@ -270,6 +299,10 @@ def test_planar_spectra_match_dense_products(monkeypatch):
     monkeypatch.setattr(representations, "poly_to_matrix", _dense_matrix)
     for p, rep, got in reports:
         want = diagonalize_classify(p, rep)
+        # position by position: a conjugate pair whose real parts differ by
+        # rounding comes out in the same order on both routes
+        g, w = np.array(got.eigenvalues), np.array(want.eigenvalues)
+        assert np.all(np.abs(g - w) <= 1e-12 * (1 + np.abs(w)))
         assert got.flags == want.flags
         assert (got.verdict, got.pairs) == (want.verdict, want.pairs)
     assert {r.verdict for *_, r in reports} == {
