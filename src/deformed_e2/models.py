@@ -721,24 +721,23 @@ def _c1_zero_solution(cmat0, table, theta):
 
 
 def _gauss_newton(cmat, table, theta, x, steps=6):
-    """Gauss-Newton steps on all ten residuals over x = (lam, rho, tau).
+    """Gauss-Newton iterates on all ten residuals over x = (lam, rho, tau).
 
-    Stops once the residuals stop halving, and returns the best point seen.
+    Yields x and then each step's point for as long as the max-norm
+    residual keeps decreasing, at most `steps` steps after x.
     """
-    best, last = x, math.inf
+    last = math.inf
     for _ in range(steps + 1):
         h = 1e-7 * np.maximum(1.0, np.abs(x))
         pts = x + np.vstack([np.zeros(3), np.diag(h)])
         r = _residual_rows(cmat, table, theta, pts[:, 0], pts[:, 1], pts[:, 2])
         size = _max_abs(r[0])
-        if size < last:
-            best = x
-        if not size <= last / 2 or size <= CERT_TOL / 100:
-            break
+        if not size < last:
+            return
+        yield x
         last = size
         jac = (r[1:] - r[0]).T / h
         x = x + np.linalg.lstsq(jac, -r[0], rcond=None)[0]
-    return best
 
 
 def solve_generic_numeric(coeffs, theta):
@@ -748,15 +747,12 @@ def solve_generic_numeric(coeffs, theta):
     fixed lam the UJ and VJ residuals are linear in (rho, tau), so with
     c1 != 0 they fix (rho, tau) and the search is one-dimensional: all ten
     residuals are evaluated on the `_ELIM_GRID` (|lam| <= ELIM_LAM_MAX, lam
-    = 0 included) in one vectorized pass, and the candidates are tried in
-    this order:
-
-    * grid points whose residuals already vanish, smallest |lam| first (a
-      Hermitian input gets the identity map);
-    * grid intervals where some residual changes sign, best endpoint first:
-      `brentq` on the steepest such residual, then Gauss-Newton steps in
-      (lam, rho, tau) when the root does not certify;
-    * the best grid point, polished the same way.
+    = 0 included) in one vectorized pass.  The candidates are the grid
+    points where the 2-norm of the residuals has a local minimum, plus the
+    point of smallest max-norm residual, tried in order of max-norm
+    residual, smallest |lam| first among ties (so a Hermitian input gets
+    the identity map).  Each candidate is polished by Gauss-Newton steps in
+    (lam, rho, tau) on all ten residuals.
 
     A second pass, for c1 = 0 and for the c1 -> 0 limit where that
     elimination is ill-conditioned, solves the J, U^2, V^2 and UV rows for
@@ -764,14 +760,15 @@ def solve_generic_numeric(coeffs, theta):
     when the first does not certify, or first when c1 is small (see
     _C1_SMALL).  The J^2 residual is Im c1 for every map, so when
     |Im c1| > CERT_TOL nothing can certify: the second pass is skipped and
-    only the best grid point of the first is evaluated.
+    only the best grid point of the first is evaluated, unpolished.
 
-    Each candidate is certified through `conjugation_matrix`, the
-    independent scalar route, and the first whose max-norm residual is at
-    most CERT_TOL is returned (Symmetric phase).  Otherwise the candidate
-    with the smallest residual comes back.  A failed search bounds the
-    search, no real map of this form with |lam| <= ELIM_LAM_MAX was found,
-    but it proves nothing about the phase.  The search is deterministic.
+    The Gauss-Newton iterates are certified through `conjugation_matrix`,
+    the independent scalar route, last iterate first, and the first whose
+    max-norm residual is at most CERT_TOL is returned (Symmetric phase).
+    Otherwise the point with the smallest residual comes back.  A failed
+    search bounds the search, no real map of this form with |lam| <=
+    ELIM_LAM_MAX was found, but it proves nothing about the phase.  The
+    search is deterministic.
     """
     c = np.array(coeffs.c, dtype=complex)
     c1 = c[0]
@@ -780,11 +777,10 @@ def solve_generic_numeric(coeffs, theta):
     certifiable = abs(c1.imag) <= CERT_TOL
     passes = []
     if c1 != 0:
-        passes.append((cmat, _uj_vj_solution(c), [4, 5]))
+        passes.append((cmat, _uj_vj_solution(c)))
     if certifiable:
         cmat0 = _coeff_matrix(np.concatenate([[0.0], c[1:]]))
-        passes.append((cmat0, _c1_zero_solution(cmat0, table, theta),
-                       _C1_ZERO_ROWS))
+        passes.append((cmat0, _c1_zero_solution(cmat0, table, theta)))
         if abs(c1) * _C1_SMALL < max(abs(c[4]), abs(c[5])):
             passes.reverse()
 
@@ -795,53 +791,45 @@ def solve_generic_numeric(coeffs, theta):
 
     best = (None, math.inf)
     with np.errstate(all="ignore"):
-        for pass_cmat, solve, solved_rows in passes:
-            for x in _candidates(pass_cmat, table, theta, solve, solved_rows,
-                                 certifiable):
-                found = certify(x)
-                if found[1] > CERT_TOL and certifiable:
-                    polished = certify(_gauss_newton(cmat, table, theta, x))
-                    found = min(found, polished, key=lambda f: f[1])
-                if found[1] < best[1]:
-                    best = found
-                if best[1] <= CERT_TOL:
-                    return best
+        for pass_cmat, solve in passes:
+            for x in _candidates(pass_cmat, table, theta, solve, certifiable):
+                path = (list(_gauss_newton(cmat, table, theta, x))
+                        if certifiable else [x])
+                for y in reversed(path):
+                    found = certify(y)
+                    if found[1] < best[1]:
+                        best = found
+                    if best[1] <= CERT_TOL:
+                        return best
     if best[0] is None:
         raise ArithmeticError("residuals non-finite on the whole lam grid")
     return best
 
 
-def _candidates(cmat, table, theta, solve, solved_rows, certifiable):
+def _candidates(cmat, table, theta, solve, certifiable):
     """Candidate maps (lam, rho, tau) of one elimination pass, best first.
 
-    `solve` gives (rho, tau) at each lam from `solved_rows`; sign changes
-    are looked for in the other rows, J^2 aside (it is Im c1 throughout).
-    When nothing can certify, only the best grid point is a candidate.
+    `solve` gives (rho, tau) at each lam.  The candidates are the grid
+    points where the 2-norm of the ten residuals has a local minimum and
+    the point of smallest max-norm residual, ordered by max-norm residual
+    with ties to the smaller |lam|.  When nothing can certify, only the
+    best grid point is a candidate.
     """
-    def reduced(lam):
-        rho, tau = solve(lam)
-        return rho, tau, _residual_rows(cmat, table, theta, lam, rho, tau)
-
     lam = _ELIM_GRID
-    rho, tau, r = reduced(lam)
+    rho, tau = solve(lam)
+    r = _residual_rows(cmat, table, theta, lam, rho, tau)
     m = _max_abs(r)
     order = _ELIM_BY_SIZE[np.argsort(m[_ELIM_BY_SIZE], kind="stable")]
     if certifiable:
-        for i in order[m[order] <= CERT_TOL]:
-            yield lam[i], rho[i], tau[i]
-        free = np.ones(10, dtype=bool)
-        free[[0, *solved_rows]] = False
-        ra, rb = r[:-1], r[1:]
-        change = (ra * rb < 0) & free
-        intervals = np.flatnonzero(change.any(axis=1))
-        worth = np.minimum(m[:-1], m[1:])[intervals]
-        for i in intervals[np.argsort(worth, kind="stable")]:
-            k = np.argmax(np.where(change[i], np.abs(rb[i] - ra[i]), -1.0))
-            root = brentq(lambda x: reduced(np.array([x]))[2][0, k],
-                          lam[i], lam[i + 1], xtol=1e-18, disp=False)
-            rho_r, tau_r, _ = reduced(np.array([root]))
-            yield root, rho_r[0], tau_r[0]
-    yield lam[order[0]], rho[order[0]], tau[order[0]]
+        n = np.linalg.norm(r, axis=1)
+        pad = np.concatenate([[math.inf], n, [math.inf]])
+        # a plateau counts once, at its first point
+        keep = np.isfinite(n) & (n < pad[:-2]) & (n <= pad[2:])
+        keep[order[0]] = True
+        order = order[keep[order]]
+    else:
+        order = order[:1]
+    return np.stack([lam[order], rho[order], tau[order]], axis=1)
 
 
 def solve_generic_multistart(coeffs, theta):

@@ -407,6 +407,20 @@ def test_grid_residuals_match_scalar_route():
     assert worst <= 1e-13, worst
 
 
+def _planted(a, theta, lam, rho, tau):
+    """H = eta^-1 h eta for the Hermitian h with alphas `a` and a real map.
+
+    The betas of h are pinned from the alphas; the conjugation goes
+    through the oracle route.
+    """
+    b = np.zeros(10)
+    b[2], b[3], b[9] = a[5] / 2, -a[4] / 2, -theta * a[8] / 2
+    h = build_general(HamiltonianCoeffs(tuple(a + 1j * b)), theta)
+    ham = adjoint_poly(DysonParams(lam, rho, tau, theta).inverse(), h,
+                       route="oracle")
+    return extract_coeffs(ham)
+
+
 def _planted_family(n):
     """Seeded inputs H = eta^-1 h eta with h Hermitian and a real map eta.
 
@@ -419,20 +433,29 @@ def _planted_family(n):
         theta = 0.0 if k % 10 == 0 else float(rng.uniform(-3.0, 3.0))
         a = rng.uniform(-1.0, 1.0, 10)
         a[0] = (a[0], 0.0, 1e-9, 1e-12, a[0])[k % 5]
-        b = np.zeros(10)
-        b[2], b[3], b[9] = a[5] / 2, -a[4] / 2, -theta * a[8] / 2
-        h = build_general(HamiltonianCoeffs(tuple(a + 1j * b)), theta)
         lam, rho, tau = (float(x) for x in rng.uniform(-2.0, 2.0, 3))
         if k % 7 == 0:
             lam *= 1e-6
-        ham = adjoint_poly(DysonParams(lam, rho, tau, theta).inverse(), h,
-                           route="oracle")
-        yield extract_coeffs(ham), theta
+        yield _planted(a, theta, lam, rho, tau), theta
+
+
+# planted c1 = c5 = c6 = 0 inputs, (theta, alphas, (lam, rho, tau)), whose
+# maps a search bracketing sign changes of single residuals missed
+# (best residuals 0.54 and 2.47)
+_MISSED_BY_BRACKETS = [
+    (-4.6, [0, 0, 1.35, 0.6, 0, 0, 1.15, 0.58, 1.63, -0.22],
+     (1.66, -1.95, -0.23)),
+    (-3.0, [0, 0.36, -1.0, 0.66, 0, 0, 0.29, 0.43, -0.76, -0.77],
+     (1.14, -0.63, 1.93)),
+]
 
 
 def test_elimination_certifies_what_the_multistart_certifies():
+    cases = list(_planted_family(200))
+    cases += [(_planted(np.array(a, dtype=float), theta, *eta), theta)
+              for theta, a, eta in _MISSED_BY_BRACKETS]
     certified = 0
-    for coeffs, theta in _planted_family(200):
+    for coeffs, theta in cases:
         params, residual = solve_generic_numeric(coeffs, theta)
         _, multi = solve_generic_multistart(coeffs, theta)
         assert residual <= CERT_TOL or multi > CERT_TOL, (coeffs, theta)
@@ -442,7 +465,7 @@ def test_elimination_certifies_what_the_multistart_certifies():
             assert hermiticity_residual(conj) <= 1e-8 * max(
                 1.0, ham.max_abs_coeff())
         certified += residual <= CERT_TOL
-    assert certified == 200   # every draw is planted, so a map exists
+    assert certified == 202   # every input is planted, so a map exists
 
 
 def test_elimination_never_calls_the_optimizers(monkeypatch):
@@ -450,8 +473,32 @@ def test_elimination_never_calls_the_optimizers(monkeypatch):
         raise AssertionError("an optimizer was called")
     monkeypatch.setattr(models, "minimize", forbidden)
     monkeypatch.setattr(models, "least_squares", forbidden)
+    monkeypatch.setattr(models, "brentq", forbidden)
     for coeffs, theta in _planted_family(10):
         assert solve_generic_numeric(coeffs, theta)[1] <= CERT_TOL
+
+
+def test_uncertifiable_real_c1_solves_stay_cheap(monkeypatch):
+    # random coefficients with real c1: both elimination passes run and
+    # every candidate is polished, yet no map certifies
+    calls = []
+    real = models._residual_rows
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(models, "_residual_rows", counted)
+    rng = np.random.default_rng(7)
+    worst = 0
+    for _ in range(30):
+        z = rng.uniform(-1.0, 1.0, 10) + 1j * rng.uniform(-1.0, 1.0, 10)
+        z[0] = z[0].real
+        theta = float(rng.uniform(0.2, 2.0))
+        calls.clear()
+        solve_generic_numeric(HamiltonianCoeffs(tuple(z)), theta)
+        worst = max(worst, len(calls))
+    assert worst <= 40, worst
 
 
 def _counting_least_squares(monkeypatch):
