@@ -177,7 +177,8 @@ def _model_values(cfg, model, command, swept=None):
     The PT5 and toy formulas divide by mu1, so it must be given, fixed or
     swept, and nonzero; toy spectrum and hermitize default it to 1, and
     spectrum of a pt5-general member divides by nothing and accepts 0.
-    `swept` maps each swept name to the values it takes.
+    `swept` maps each swept name to the values it takes; none may also be
+    fixed, theta included.
     """
     fixed = cfg.get("fixed", {})
     if not isinstance(fixed, dict):
@@ -192,7 +193,7 @@ def _model_values(cfg, model, command, swept=None):
         values[name] = _number(value, f"fixed.{name}")
     swept = swept or {}
     for name in swept:
-        if name in values:
+        if name in values or name == "theta" and "theta" in cfg:
             raise ConfigError(f"{name!r} is both fixed and swept")
     if toy_lam and ("lam" in values) == ("mu3" in values):
         raise ConfigError("toy model needs exactly one of fixed.lam, "
@@ -382,8 +383,9 @@ def _representation_from(cfg, model):
                    else {"kind": "fock", "dims": 60})
     if not isinstance(rep_cfg, dict):
         raise ConfigError("representation must be an object")
-    _check_keys(rep_cfg, ("kind", "dims", "delta", "j0"), "representation")
     kind = rep_cfg.get("kind")
+    _check_keys(rep_cfg, ("kind", "dims", "delta")
+                + (("j0",) if kind == "fock" else ()), "representation")
     if kind not in ("fock", "planar", "circle"):
         raise ConfigError(f"representation.kind must be fock, planar or "
                           f"circle, got {kind!r}")

@@ -28,6 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eig, expm
 
+from .algebra import OperatorPoly
+
 # Rows/columns this close to the truncation edge are excluded from
 # interior-block algebra checks (per axis for planar).
 _INTERIOR_BUFFER = {"fock": 2, "planar": 3, "circle": 0}
@@ -39,27 +41,18 @@ INCONCLUSIVE = "Inconclusive"
 
 @dataclass(frozen=True)
 class Representation:
-    """Generator matrices for one realization at one truncation size.
-
-    Planar representations also carry the 1-D oscillator factors
-    (x1, p1, y1, q1) the generators are Kronecker products of.
+    """One realization at one truncation size, held as the complex factors
+    its matrices are built from: fock (U, V, diagonal of J), planar the 1-D
+    oscillator factors (x1, p1, y1, q1), circle (diagonal of J,).  Dense
+    U, V and J of fock and planar come from `generator_matrices`.
     """
 
     kind: str
     theta: float
     dims: tuple
     j0: float
-    U: np.ndarray = field(repr=False)
-    V: np.ndarray = field(repr=False)
-    J: np.ndarray = field(repr=False)
-    factors: tuple = field(default=(), repr=False)
-
-    @property
-    def size(self):
-        return self.U.shape[0]
-
-    def identity(self):
-        return np.eye(self.size, dtype=complex)
+    size: int
+    factors: tuple = field(repr=False)
 
     def interior_mask(self):
         """Boolean mask of basis states far enough from the truncation edge."""
@@ -81,13 +74,16 @@ def _ladder(n):
 
 
 def make_representation(kind, theta, dims, j0=0.0):
-    """Build generator matrices; see the module docstring for conventions.
+    """Build the factors; see the module docstring for conventions.
 
     dims: N for fock, (N_x, N_y) or a single int for planar, M for circle
-    (matrix size 2M+1).  Small sizes are allowed for inspection, but
-    `diagonalize_classify` insists on size >= 16 for fock and planar.
+    (matrix size 2M+1).  j0 offsets the fock J only.  Small sizes are
+    allowed for inspection, but `diagonalize_classify` insists on size >= 16
+    for fock and planar.
     """
     theta = float(theta)
+    if kind in ("planar", "circle") and j0 != 0:
+        raise ValueError(f"j0 offsets only the fock J, not the {kind} one")
     if kind == "fock":
         if theta <= 0:
             raise ValueError("fock representation needs theta > 0")
@@ -97,43 +93,34 @@ def make_representation(kind, theta, dims, j0=0.0):
         a = _ladder(n)
         ad = a.T.conj()
         s = np.sqrt(theta / 2)
-        u = s * (a + ad)
-        v = -1j * s * (a - ad)
         # a^dag a is diagonal with entries sqrt(k) * sqrt(k), the one
         # nonzero product of each diagonal entry of the matrix product
         root = np.sqrt(np.arange(n, dtype=float))
-        j = np.diag(root * root + j0)
-        return Representation("fock", theta, (n,), j0, u, v, j.astype(complex))
-    if kind == "planar":
+        dims, size = (n,), n
+        factors = (s * (a + ad), -1j * s * (a - ad), root * root + j0)
+    elif kind == "planar":
         if np.isscalar(dims):
             nx = ny = int(dims)
         else:
             nx, ny = (int(d) for d in dims)
         if nx < 1 or ny < 1:
             raise ValueError("need at least one level per axis")
-        ix, iy = np.eye(nx), np.eye(ny)
         xa, ya = _ladder(nx), _ladder(ny)
-        x1 = (xa + xa.T) / np.sqrt(2)
-        p1 = 1j * (xa.T - xa) / np.sqrt(2)
-        y1 = (ya + ya.T) / np.sqrt(2)
-        q1 = 1j * (ya.T - ya) / np.sqrt(2)
-        u = np.kron(x1, iy) - theta / 2 * np.kron(ix, q1)
-        v = np.kron(ix, y1) + theta / 2 * np.kron(p1, iy)
-        # y p_x - x p_y by the mixed-product rule; adding 0.0 turns the
-        # negative zeros of the elementwise products into the +0 that the
-        # matrix products gave, so J keeps their bytes
-        j = np.kron(p1, y1) - np.kron(x1, q1) + 0.0
-        return Representation("planar", theta, (nx, ny), 0.0, u, v, j,
-                              (x1, p1, y1, q1))
-    if kind == "circle":
+        dims, size = (nx, ny), nx * ny
+        factors = ((xa + xa.T) / np.sqrt(2), 1j * (xa.T - xa) / np.sqrt(2),
+                   (ya + ya.T) / np.sqrt(2), 1j * (ya.T - ya) / np.sqrt(2))
+    elif kind == "circle":
         m = int(dims)
         if m < 0:
             raise ValueError("mode cutoff must be nonnegative")
-        diag = np.arange(-m, m + 1, dtype=float)
-        z = np.zeros((2 * m + 1, 2 * m + 1), dtype=complex)
-        return Representation("circle", theta, (m,), 0.0,
-                              z, z.copy(), np.diag(diag).astype(complex))
-    raise ValueError(f"unknown representation kind {kind!r}")
+        dims, size = (m,), 2 * m + 1
+        factors = (np.arange(-m, m + 1, dtype=float),)
+    else:
+        raise ValueError(f"unknown representation kind {kind!r}")
+    # complex, so fock products run in zgemm as the identity-started dense
+    # chain does, and keep its bytes
+    return Representation(kind, theta, dims, float(j0), size,
+                          tuple(f.astype(complex) for f in factors))
 
 
 def poly_to_matrix(p, rep):
@@ -148,9 +135,7 @@ def poly_to_matrix(p, rep):
             f"polynomial theta {p.theta} != representation theta {rep.theta}")
     if rep.kind == "planar":
         return _planar_matrix(p, rep)
-    # complex, so U @ U runs in zgemm as the identity-started product did
-    u, v = rep.U.astype(complex), rep.V.astype(complex)
-    jdiag = np.diagonal(rep.J)
+    jdiag = rep.factors[-1]
     out = np.zeros((rep.size, rep.size), dtype=complex)
     diag = out.reshape(-1)[::rep.size + 1]
     for (a, b, c), w in p.terms.items():
@@ -164,6 +149,7 @@ def poly_to_matrix(p, rep):
                 term = term * jdiag
             diag += w * term
             continue
+        u, v = rep.factors[:2]
         factors = [u] * a + [v] * b
         term = factors[0]
         for mat in factors[1:]:
@@ -202,7 +188,7 @@ def _planar_matrix(p, rep):
             pairs[key] = pairs.get(key, 0) + coef
     if not pairs:
         return np.zeros((rep.size, rep.size), dtype=complex)
-    x1, p1, y1, q1 = (m.astype(complex) for m in rep.factors)
+    x1, p1, y1, q1 = rep.factors
     words_x = {"": np.eye(nx, dtype=complex), "x": x1, "p": p1}
     words_y = {"": np.eye(ny, dtype=complex), "y": y1, "q": q1}
 
@@ -219,6 +205,14 @@ def _planar_matrix(p, rep):
     return out.reshape(nx * ny, nx * ny)
 
 
+def generator_matrices(rep):
+    """Dense (U, V, J) of a fock or planar representation, each the
+    `poly_to_matrix` of its generator; adding 0.0 turns the negative zeros
+    of the planar Kronecker contraction into +0."""
+    return tuple(poly_to_matrix(OperatorPoly({word: 1.0}, rep.theta), rep)
+                 + 0.0 for word in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+
+
 def commutator_fidelity(rep):
     """Max interior-block deviation of the three defining relations.
 
@@ -232,7 +226,7 @@ def commutator_fidelity(rep):
         sub = m[np.ix_(mask, mask)]
         return float(np.abs(sub).max()) if sub.size else 0.0
 
-    u, v, j = rep.U, rep.V, rep.J
+    u, v, j = generator_matrices(rep)
     return {
         "UJ": dev(u @ j - j @ u - 1j * v),
         "VJ": dev(v @ j - j @ v + 1j * u),
@@ -242,8 +236,8 @@ def commutator_fidelity(rep):
 
 def eta_matrix(params, rep):
     """Matrix of eta = exp(lam J + rho U + tau V) in the representation."""
-    gen = (params.lam * rep.J + params.rho * rep.U + params.tau * rep.V)
-    return expm(gen)
+    u, v, j = generator_matrices(rep)
+    return expm(params.lam * j + params.rho * u + params.tau * v)
 
 
 @dataclass(frozen=True)

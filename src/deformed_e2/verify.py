@@ -63,6 +63,7 @@ from .representations import (
     commutator_fidelity,
     diagonalize_classify,
     eta_matrix,
+    generator_matrices,
     isospectral_check,
     make_representation,
     poly_to_matrix,
@@ -554,8 +555,7 @@ def _generator_matrices(fault):
     planar = make_representation("planar", 0.5, (12, 12))
     pfid = commutator_fidelity(planar)
     herm = max(float(np.max(np.abs(m - m.conj().T)))
-               for m in (fock.U, fock.V, fock.J,
-                         planar.U, planar.V, planar.J))
+               for m in generator_matrices(fock) + generator_matrices(planar))
     worst = max(max(ffid.values()), max(pfid.values()))
     return (worst < 1e-10 and herm == 0.0,
             f"worst interior fidelity {worst:.3e}, "
@@ -568,9 +568,8 @@ def _sign_convention(fault):
     psi = np.zeros(planar.size, dtype=complex)
     psi[1 * 12 + 0] = 1 / math.sqrt(2)       # |1, 0>
     psi[0 * 12 + 1] = 1j / math.sqrt(2)      # i |0, 1>
-    jexp = float((psi.conj() @ planar.J @ psi).real)
-    circ = make_representation("circle", 0.3, 5)
-    jdiag = np.diagonal(circ.J).real
+    jexp = float((psi.conj() @ generator_matrices(planar)[2] @ psi).real)
+    jdiag = make_representation("circle", 0.3, 5).factors[0].real
     ok = abs(jexp + 1.0) < 1e-12 and np.array_equal(jdiag, np.arange(-5, 6))
     return ok, (f"planar <J> on the p_+ state = {jexp!r} "
                 f"(convention: J acts as -m on e^(i m phi))")

@@ -131,7 +131,8 @@ def test_workers_come_only_from_a_positive_flag(argv, message, capsys):
 
 
 _MU1_FIXED = ({}, {"mu1": 1}, {"mu1": 0})
-# exit code for each entry of _MU1_FIXED at theta = 1
+# exit code for each entry of _MU1_FIXED at theta = 1 (classify and ep
+# sweep theta instead)
 _MU1_MATRIX = {
     ("classify", "pt5-general"): (2, 0, 2),
     ("classify", "pt5-special"): (2, 0, 2),
@@ -160,13 +161,14 @@ def test_fixed_mu1_validation_matrix(command, model, column, capsys):
     spectrum and hermitize still need lam or mu3, general-coeffs has no
     mu1, and only spectrum of pt5-general accepts mu1 = 0."""
     argv = [command, "--set", f"model={json.dumps(model)}",
-            "--set", f"fixed={json.dumps(_MU1_FIXED[column])}",
-            "--set", "theta=1"]
+            "--set", f"fixed={json.dumps(_MU1_FIXED[column])}"]
     if command == "classify":
         argv += ["--set", 'axes=[{"name": "theta", "min": 0.5, "max": 1, '
                           '"steps": 2}]']
-    if command == "ep":
+    elif command == "ep":
         argv += ["--set", 'sweep={"name": "theta", "min": 0, "max": 16}']
+    else:
+        argv += ["--set", "theta=1"]
     code, out = run(capsys, argv)
     assert code == _MU1_MATRIX[command, model][column]
     assert (out != "") == (code == 0)
@@ -183,6 +185,17 @@ def test_classify_rejects_single_step_axis(capsys):
     code, _ = run(capsys, ["classify", "-c", MU3_SWEEP,
                            "--set", "axes.0.steps=1"])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "-c", THETA_SWEEP, "--workers", "1"],
+    ["ep", "-c", "configs/ep_theta_sweep.json"],
+], ids=["classify", "ep"])
+def test_theta_both_fixed_and_swept_is_a_config_error(argv, capsys):
+    code = cli.main(argv + ["--set", "theta=3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "'theta' is both fixed and swept" in captured.err
 
 
 def test_classify_rejects_unknown_parameter(capsys):

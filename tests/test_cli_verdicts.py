@@ -211,6 +211,23 @@ def test_oversized_truncation_is_rejected_before_allocation(rep, capsys,
     assert f"at most {cli.MAX_MATRIX_SIZE} are allowed" in captured.err
 
 
+@pytest.mark.parametrize("config, rep", [
+    ("configs/spectrum_toy.json", {"kind": "circle", "dims": 2, "j0": 0.5}),
+    ("configs/spectrum_fock_pairs.json",
+     {"kind": "planar", "dims": 8, "j0": 0.5}),
+], ids=["circle", "planar"])
+def test_j0_off_fock_is_a_config_error(config, rep, capsys, monkeypatch):
+    # j0 offsets only the fock J; elsewhere it used to be echoed but unused
+    with pytest.raises(ValueError, match="j0"):
+        make_representation(rep["kind"], 0.5, rep["dims"], j0=rep["j0"])
+    _no_matrix(monkeypatch)
+    code = cli.main(["spectrum", "-c", config,
+                     "--set", "representation=" + json.dumps(rep)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "unknown representation keys: ['j0']" in captured.err
+
+
 @pytest.mark.parametrize("rep", [
     {"kind": "fock", "dims": 3277},
     {"kind": "planar", "dims": [63, 63], "delta": 1},

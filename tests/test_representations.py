@@ -20,6 +20,7 @@ from deformed_e2.representations import (
     commutator_fidelity,
     diagonalize_classify,
     eta_matrix,
+    generator_matrices,
     isospectral_check,
     make_representation,
     poly_to_matrix,
@@ -31,18 +32,19 @@ WORKED = with_special_choice(
 
 def test_fock_matrices_small():
     # theta = 2 makes sqrt(theta/2) = 1, so U is the bare position ladder
-    rep = make_representation("fock", 2.0, 3)
+    u, v, j = generator_matrices(make_representation("fock", 2.0, 3))
     sq2 = math.sqrt(2)
     expect_u = np.array([[0, 1, 0], [1, 0, sq2], [0, sq2, 0]], dtype=complex)
     expect_v = np.array([[0, -1j, 0], [1j, 0, -1j * sq2], [0, 1j * sq2, 0]])
-    assert np.allclose(rep.U, expect_u, atol=1e-15)
-    assert np.allclose(rep.V, expect_v, atol=1e-15)
-    assert np.allclose(np.diagonal(rep.J), [0, 1, 2], atol=0)
+    assert np.allclose(u, expect_u, atol=1e-15)
+    assert np.allclose(v, expect_v, atol=1e-15)
+    assert np.allclose(j, np.diag([0, 1, 2]), atol=0)
 
 
 def test_fock_j0_offset():
     rep = make_representation("fock", 1.0, 4, j0=0.25)
-    assert np.allclose(np.diagonal(rep.J), [0.25, 1.25, 2.25, 3.25])
+    # the last fock factor is the diagonal of J
+    assert np.allclose(rep.factors[-1], [0.25, 1.25, 2.25, 3.25])
 
 
 def test_fock_rejects_nonpositive_theta():
@@ -55,8 +57,9 @@ def test_fock_rejects_nonpositive_theta():
 def test_fock_casimir():
     # U^2 + V^2 - 2 theta J = theta (1 - 2 j0) away from the truncation edge
     theta, j0 = 0.7, 0.25
-    rep = make_representation("fock", theta, 20, j0=j0)
-    cas = rep.U @ rep.U + rep.V @ rep.V - 2 * theta * rep.J
+    u, v, j = generator_matrices(make_representation("fock", theta, 20,
+                                                     j0=j0))
+    cas = u @ u + v @ v - 2 * theta * j
     expect = theta * (1 - 2 * j0)
     interior = cas[:-2, :-2]
     assert np.allclose(interior, expect * np.eye(18), atol=1e-13)
@@ -65,29 +68,33 @@ def test_fock_casimir():
 def test_generators_hermitian():
     fock = make_representation("fock", 1.0, 24)
     assert set(commutator_fidelity(fock)) == {"UJ", "VJ", "UV"}
-    for rep in (fock,
-                make_representation("planar", 0.5, (10, 10)),
-                make_representation("circle", 0.3, 5)):
-        for m in (rep.U, rep.V, rep.J):
+    for rep in (fock, make_representation("planar", 0.5, (10, 10))):
+        for m in generator_matrices(rep):
             assert np.array_equal(m, m.conj().T)
+    # the circle carries only J, whose diagonal is real
+    circle = make_representation("circle", 0.3, 5)
+    assert np.array_equal(circle.factors[0], circle.factors[0].conj())
+    with pytest.raises(ValueError):
+        generator_matrices(circle)
 
 
 def test_planar_index_convention():
     # site (ix, iy) lives at flat index ix*ny + iy
     nx, ny = 5, 7
     rep = make_representation("planar", 0.4, (nx, ny))
-    assert rep.U.shape == (nx * ny, nx * ny)
+    u, v, j = generator_matrices(rep)
+    assert rep.size == nx * ny and u.shape == (nx * ny, nx * ny)
     # the p_+ = (|1,0> + i|0,1>)/sqrt(2) state carries J = -1
     psi = np.zeros(nx * ny, dtype=complex)
     psi[1 * ny + 0] = 1 / math.sqrt(2)
     psi[0 * ny + 1] = 1j / math.sqrt(2)
-    jexp = (psi.conj() @ rep.J @ psi).real
+    jexp = (psi.conj() @ j @ psi).real
     assert jexp == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_circle_representation():
     rep = make_representation("circle", 0.3, 5)
-    assert np.array_equal(np.diagonal(rep.J).real, np.arange(-5, 6))
+    assert np.array_equal(rep.factors[0].real, np.arange(-5, 6))
     # polynomials in J map to exact diagonals
     p = OperatorPoly({(0, 0, 2): 1.0, (0, 0, 1): 0.3}, 0.3)
     mat = poly_to_matrix(p, rep)
@@ -102,8 +109,9 @@ def test_poly_to_matrix_normal_ordered_word():
     # the matrix of U V J must be U @ V @ J in that order
     theta = 1.0
     rep = make_representation("fock", theta, 12)
+    u, v, j = generator_matrices(rep)
     p = OperatorPoly({(1, 1, 1): 1.0}, theta)
-    assert np.allclose(poly_to_matrix(p, rep), rep.U @ rep.V @ rep.J)
+    assert np.allclose(poly_to_matrix(p, rep), u @ v @ j)
     # scalars lift to multiples of the identity
     one = OperatorPoly.identity(theta) * 2.5
     assert np.allclose(poly_to_matrix(one, rep), 2.5 * np.eye(12))
@@ -191,13 +199,42 @@ def test_isospectral_detects_mismatch():
 # poly_to_matrix against dense products
 
 
+def _ladder(n):
+    return np.diag(np.sqrt(np.arange(1, n, dtype=float)), 1)
+
+
+def _dense_generators(rep):
+    """U, V and J of the representation's kind, theta, dims and j0 from the
+    ladder and Kronecker formulas, without reading its factors."""
+    if rep.kind == "circle":
+        (m,) = rep.dims
+        zero = np.zeros((2 * m + 1, 2 * m + 1))
+        return zero, zero, np.diag(np.arange(-m, m + 1, dtype=float))
+    if rep.kind == "fock":
+        (n,) = rep.dims
+        a = _ladder(n)
+        s = math.sqrt(rep.theta / 2)
+        return (s * (a + a.T), -1j * s * (a - a.T),
+                a.T @ a + rep.j0 * np.eye(n))
+    nx, ny = rep.dims
+    ix, iy = np.eye(nx), np.eye(ny)
+    xa, ya = _ladder(nx), _ladder(ny)
+    x = np.kron((xa + xa.T) / np.sqrt(2), iy)
+    px = np.kron(1j * (xa.T - xa) / np.sqrt(2), iy)
+    y = np.kron(ix, (ya + ya.T) / np.sqrt(2))
+    py = np.kron(ix, 1j * (ya.T - ya) / np.sqrt(2))
+    h = rep.theta / 2
+    return x - h * py, y + h * px, y @ px - x @ py
+
+
 def _dense_matrix(p, rep):
     """Reference route: each monomial as a chain of dense products started
-    from the identity, identity() @ U ... @ V ... @ J ..."""
+    from the identity, 1 @ U ... @ V ... @ J ..., of `_dense_generators`."""
+    gens = _dense_generators(rep)
     out = np.zeros((rep.size, rep.size), dtype=complex)
     for (a, b, c), w in p.terms.items():
-        term = rep.identity()
-        for mat, e in ((rep.U, a), (rep.V, b), (rep.J, c)):
+        term = np.eye(rep.size, dtype=complex)
+        for mat, e in zip(gens, (a, b, c)):
             for _ in range(e):
                 term = term @ mat
         out += w * term
@@ -236,20 +273,14 @@ def _matrix_draws(count, seed=8):
 
 
 def test_generators_keep_the_bytes_of_dense_products():
-    for n, j0 in ((1, 0.0), (24, 0.25), (75, -0.3)):
-        rep = make_representation("fock", 1.3, n, j0=j0)
-        a = np.diag(np.sqrt(np.arange(1, n, dtype=float)), 1)
-        want = (a.T @ a + j0 * np.eye(n)).astype(complex)
-        assert rep.J.tobytes() == want.tobytes()
-    for theta, (nx, ny) in ((0.5, (12, 12)), (3.0, (5, 9))):
-        rep = make_representation("planar", theta, (nx, ny))
-        x1, p1, y1, q1 = rep.factors
-        ix, iy = np.eye(nx), np.eye(ny)
-        x, px = np.kron(x1, iy), np.kron(p1, iy)
-        y, py = np.kron(ix, y1), np.kron(ix, q1)
-        assert rep.U.tobytes() == (x - theta / 2 * py).tobytes()
-        assert rep.V.tobytes() == (y + theta / 2 * px).tobytes()
-        assert rep.J.tobytes() == (y @ px - x @ py).tobytes()
+    reps = [make_representation("fock", 1.3, n, j0=j0)
+            for n, j0 in ((1, 0.0), (24, 0.25), (75, -0.3))]
+    reps += [make_representation("planar", theta, dims)
+             for theta in (0.0, 0.5, 3.0, 12.0)
+             for dims in ((1, 1), (5, 9), (7, 3), (12, 12))]
+    for rep in reps:
+        for got, want in zip(generator_matrices(rep), _dense_generators(rep)):
+            assert got.tobytes() == want.astype(complex).tobytes()
 
 
 def test_fock_and_circle_matrices_keep_the_bytes_of_dense_products():
