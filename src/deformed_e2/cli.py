@@ -16,13 +16,26 @@ import io
 import itertools
 import json
 import math
+import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
-import numpy as np
+# One BLAS/OpenMP thread unless the caller chose otherwise.  The matrices
+# here are small, and OpenBLAS's default of one thread per core only made
+# them slower on 2 vCPUs, with the same results (the 1,500-draw hard family
+# of `solve_generic_numeric`: 12-13 s against 10-11 s with one thread), and
+# `classify --workers 2` oversubscribed the cores.  The libraries read these
+# when numpy first loads, so this runs before the first numpy import; a
+# value already set wins.
+for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+              "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
+              "NUMEXPR_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
+import numpy as np  # noqa: E402
 
 from .algebra import OperatorPoly, dagger, max_coeff_diff
 from .dyson import DysonParams, adjoint_poly
+from .lazy import ProcessPoolExecutor
 from .models import (
     BOUNDARY,
     BROKEN,
@@ -680,8 +693,8 @@ def main(argv=None):
     _add_config_flags(sp)
     sp.add_argument("--workers", "-w", type=int, default=1, metavar="N",
                     help="worker processes (default: 1, inline); on 2 "
-                         "cores a pool ran slower than inline on every "
-                         "model, general-coeffs included")
+                         "cores a pool beat inline only on costly "
+                         "general-coeffs sweeps")
 
     sp = sub.add_parser("spectrum", help="diagonalize a family member in a "
                                          "truncated representation (JSON)")

@@ -23,9 +23,9 @@ import cmath
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .algebra import OperatorPoly, ThetaMismatchError
+from .lazy import expm
 
 # Reality of the solved Dyson parameters decides the phase; this is the
 # imaginary-part cutoff for calling them real.

@@ -38,7 +38,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq, least_squares, minimize
 
 from .algebra import OperatorPoly
 from .dyson import (
@@ -47,6 +46,7 @@ from .dyson import (
     closed_images,
     lam_functions_array,
 )
+from .lazy import brentq, least_squares, minimize
 
 SYMMETRIC = "Symmetric"
 BROKEN = "Broken"

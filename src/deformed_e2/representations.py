@@ -26,9 +26,9 @@ import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eig, expm
 
 from .algebra import OperatorPoly
+from .lazy import eig, expm
 
 # Rows/columns this close to the truncation edge are excluded from
 # interior-block algebra checks (per axis for planar).

@@ -5,8 +5,15 @@ Two of the files pass through LAPACK: `spectrum_fock_pairs.json` (`eig`)
 and `verify.json` (the spectral checks' details).  They are compared byte
 for byte too: `tests/conftest.py` pins BLAS to one thread, and both were
 seen byte-identical over repeated runs with one thread and with the
-default count."""
+default count.
 
+The in-process runs follow tests that have already imported scipy; the
+fresh-process runs import each scipy module on first use, as a CLI call
+does, and pin which ones a config needs."""
+
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,6 +28,9 @@ CASES = [("classify", "classify_mu3_sweep.csv"),
          ("hermitize", "hermitize_special.json"),
          ("spectrum", "spectrum_toy.json"),
          ("spectrum", "spectrum_fock_pairs.json")]
+# scipy modules a fresh run imports, per config: only the fock spectrum
+# reaches `eig`, and no config has a deformed mu3 root for `brentq`
+FRESH_SCIPY = {"spectrum_fock_pairs.json": {"scipy.linalg"}}
 
 
 @pytest.mark.parametrize("command, golden", CASES)
@@ -35,3 +45,23 @@ def test_verify_report_matches_golden(tmp_path):
     out = tmp_path / "verify.json"
     assert cli.main(["verify", "--json", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / "verify.json").read_bytes()
+
+
+@pytest.mark.parametrize("command, golden", CASES)
+def test_fresh_process_output_matches_golden(command, golden, tmp_path):
+    out = tmp_path / golden
+    config = TESTS.parent / "configs" / f"{Path(golden).stem}.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(TESTS.parent / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "deformed_e2.cli",
+         command, "-c", str(config), "-o", str(out)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+    imported = {line.rsplit("|", 1)[1].strip()
+                for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert (imported & {"scipy.linalg", "scipy.optimize"}
+            == FRESH_SCIPY.get(golden, set()))
