@@ -629,6 +629,8 @@ def cmd_hermitize(cfg):
                 "h": _coeff_doc(conj),
                 "certified": bool(residual <= CERT_TOL),
             }
+    except BrokenPhaseError:
+        raise
     except (ValueError, ArithmeticError) as exc:
         raise NumericError(str(exc))
 

@@ -2,7 +2,7 @@
 
 The adjoint action of A = lam*J + rho*U + tau*V closes on the span
 {1, U, V, J}, so eta X eta^{-1} is an affine combination of the generators
-for X in {U, V, J}.  Two independent routes compute it:
+for X in {U, V, J}.  Two independent routes compute it (`image_matrix`):
 
 * closed-form expressions in cosh/sinh of lam (with series fallbacks where
   the written forms have removable lam -> 0 singularities), also evaluated
@@ -110,16 +110,20 @@ def _lam_functions(lam):
     return ch, sh, sh / lam, one_minus_ch / lam, one_minus_ch / lam ** 2
 
 
-_BASIS_INDEX = {"U": 0, "V": 1, "J": 2}
+# column of each generator in `image_matrix`
+_BASIS_INDEX = {"U": 1, "V": 2, "J": 3}
+# ad_matrix orders its basis (U, V, J, 1); this lists it in (1, U, V, J)
+_AD_ORDER = [3, 0, 1, 2]
 
 
-def _fill_images(ch, sh, s1, c2, c3, rho, tau, theta, s):
-    """Store in s[..., i, k] the (1, U, V, J) component i of eta g_k eta^{-1},
-    g = (1, U, V, J), from `_lam_functions` or `lam_functions_array` values;
-    entries not set must hold 0.  For example eta U eta^{-1} =
+def _fill_images(ch, sh, s1, c2, c3, rho, tau, theta):
+    """s[..., i, k] = the (1, U, V, J) component i of eta g_k eta^{-1},
+    g = (1, U, V, J), from `_lam_functions` or `lam_functions_array` values,
+    one 4x4 block per entry of ch.  For example eta U eta^{-1} =
     (U + rho*theta/lam) cosh(lam) - i (V + tau*theta/lam) sinh(lam)
     - rho*theta/lam, regrouped so each coefficient stays finite at lam -> 0.
     """
+    s = np.zeros(np.shape(ch) + (4, 4), dtype=complex)
     s[..., 0, 0] = s[..., 3, 3] = 1.0 + 0j
     s[..., 0, 1] = -rho * theta * c2 - 1j * tau * theta * s1
     s[..., 1, 1] = ch
@@ -130,22 +134,24 @@ def _fill_images(ch, sh, s1, c2, c3, rho, tau, theta, s):
     s[..., 0, 3] = theta * (rho * rho + tau * tau) * c3
     s[..., 1, 3] = -1j * tau * s1 + rho * c2
     s[..., 2, 3] = 1j * rho * s1 + tau * c2
+    return s
 
 
-def closed_images(params):
-    """Closed-form images of (U, V, J) under eta . eta^{-1}."""
-    # object entries keep each value as the formula computed it, type and all
-    s = np.full((4, 4), 0j, dtype=object)
-    _fill_images(*_lam_functions(params.lam), complex(params.rho),
-                 complex(params.tau), params.theta, s)
-    return tuple(AdjointImage(*column) for column in s.T[1:])
+def image_matrix(params, route="closed"):
+    """s[i, k] = the (1, U, V, J) component i of eta g_k eta^{-1}, g = (1, U,
+    V, J), by the closed forms ("closed") or by exp(ad_A) ("oracle").
+    """
+    if route == "closed":
+        return _fill_images(*_lam_functions(params.lam), complex(params.rho),
+                            complex(params.tau), params.theta)
+    if route == "oracle":
+        return expm(ad_matrix(params))[np.ix_(_AD_ORDER, _AD_ORDER)]
+    raise ValueError(f"unknown route {route!r}")
 
 
 def adjoint_generator_closed(params, g):
     """Closed-form image of one generator under eta . eta^{-1}."""
-    if g not in _BASIS_INDEX:
-        raise ValueError(f"unknown generator tag {g!r}")
-    return closed_images(params)[_BASIS_INDEX[g]]
+    return AdjointImage(*image_matrix(params)[:, _BASIS_INDEX[g]].tolist())
 
 
 def lam_functions_array(lam):
@@ -170,11 +176,9 @@ def closed_image_columns(lam, rho, tau, theta):
 
     Returns s of shape (n, 4, 4): s[i, :, k] holds the (1, U, V, J)
     components of eta g_k eta^-1 for g = (1, U, V, J) and the i-th map; the
-    same formulas as `closed_images`, evaluated in numpy.
+    same formulas as `image_matrix`, evaluated in numpy.
     """
-    s = np.zeros((len(lam), 4, 4), dtype=complex)
-    _fill_images(*lam_functions_array(lam), rho, tau, theta, s)
-    return s
+    return _fill_images(*lam_functions_array(lam), rho, tau, theta)
 
 
 def ad_matrix(params):
@@ -196,13 +200,9 @@ def ad_matrix(params):
 
 
 def adjoint_generator_oracle(params, g):
-    """Image of a generator via exp(ad_A) on the 4-dimensional span.
-
-    Independent of the closed forms: only the commutation relations enter,
-    and the exponential is delegated to a standard dense expm.
-    """
-    col = expm(ad_matrix(params))[:, _BASIS_INDEX[g]]
-    return AdjointImage(s0=col[3], sU=col[0], sV=col[1], sJ=col[2])
+    """Image of a generator via exp(ad_A) on the 4-dimensional span."""
+    return AdjointImage(
+        *image_matrix(params, "oracle")[:, _BASIS_INDEX[g]].tolist())
 
 
 def adjoint_poly(params, p, route="closed"):
@@ -216,20 +216,14 @@ def adjoint_poly(params, p, route="closed"):
         raise ThetaMismatchError(
             f"polynomial theta {p.theta} != params theta {params.theta}"
         )
-    if route == "closed":
-        images = {g: adjoint_generator_closed(params, g)
-                  for g in ("U", "V", "J")}
-    elif route == "oracle":
-        images = {g: adjoint_generator_oracle(params, g) for g in ("U", "V", "J")}
-    else:
-        raise ValueError(f"unknown route {route!r}")
-    polys = {g: img.as_poly(p.theta) for g, img in images.items()}
+    s = image_matrix(params, route).T.tolist()
+    polys = [AdjointImage(*s[k]).as_poly(p.theta) for k in (1, 2, 3)]
 
     out = OperatorPoly.zero(p.theta)
     for (a, b, c), w in p.terms.items():
         term = OperatorPoly({(0, 0, 0): w}, p.theta)
-        for g, e in (("U", a), ("V", b), ("J", c)):
+        for img, e in zip(polys, (a, b, c)):
             for _ in range(e):
-                term = term * polys[g]
+                term = term * img
         out = out + term
     return out

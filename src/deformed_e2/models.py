@@ -43,7 +43,7 @@ from .algebra import OperatorPoly
 from .dyson import (
     DysonParams,
     closed_image_columns,
-    closed_images,
+    image_matrix,
     lam_functions_array,
 )
 from .lazy import brentq, least_squares, minimize
@@ -134,12 +134,13 @@ class Mu:
 
 @dataclass(frozen=True)
 class MuAbbrev:
-    """The four combinations controlling the Dyson constraints."""
+    """The combinations controlling the Dyson constraints."""
 
     mu78: float
     mu19: float
     mu23: float
     mu24: float
+    mu68: float
 
     @classmethod
     def from_mu(cls, mu):
@@ -150,7 +151,13 @@ class MuAbbrev:
             mu19=mu.mu5 * mu.mu6 / (2 * mu.mu1) - mu.mu9,
             mu23=mu.mu2 * mu.mu5 / (2 * mu.mu1) - mu.mu6 / 2 - mu.mu3,
             mu24=mu.mu2 * mu.mu6 / (2 * mu.mu1) - mu.mu5 / 2 - mu.mu4,
+            mu68=mu.mu6 ** 2 / (4 * mu.mu1) + mu.mu8,
         )
+
+
+def _mu56(mu, ch, sh):
+    """(mu6 cosh - mu5 sinh)/(2 mu1 (1 + cosh)) of lambda, floats or arrays."""
+    return (mu.mu6 * ch - mu.mu5 * sh) / (2 * mu.mu1 * (1 + ch))
 
 
 @dataclass(frozen=True)
@@ -211,36 +218,35 @@ def extract_coeffs(p):
     return HamiltonianCoeffs(tuple(c))
 
 
-def product_table(theta):
-    """The 4x4x10 table of normal-ordered products of (1, U, V, J) pairs.
-
-    table[k, l] holds the c_1..c_10 of g_k g_l; it depends on theta only.
-    """
+def _engine_table(theta):
+    """The c_1..c_10 of each g_k g_l, g = (1, U, V, J), from the engine."""
     gens = [OperatorPoly.identity(theta)]
     gens += [OperatorPoly.generator(g, theta) for g in ("U", "V", "J")]
-    table = np.zeros((4, 4, 10), dtype=complex)
-    for k, left in enumerate(gens):
-        for l, right in enumerate(gens):
-            table[k, l] = extract_coeffs(left * right).c
-    return table
+    return np.array([[extract_coeffs(a * b).c for b in gens] for a in gens])
 
 
-def conjugation_matrix(params, table=None):
+# Only V U = UV - i theta depends on theta, and linearly.
+_TABLE_BASE = _engine_table(0.0)
+_TABLE_SLOPE = _engine_table(1.0) - _TABLE_BASE
+
+
+def product_table(theta):
+    """The c_1..c_10 of each g_k g_l like `_engine_table`, except that it
+    keeps -i theta at any theta, where the engine prunes it below PRUNE_TOL.
+    """
+    return _TABLE_BASE + theta * _TABLE_SLOPE
+
+
+def conjugation_matrix(params):
     """The 10x10 matrix M with eta H(c) eta^-1 = H(M @ c).
 
     Conjugation by a linear exponent maps span{1, U, V, J} into itself, so
     it is linear on the degree-2 coefficients: each basis monomial g_i g_j
-    goes to img(g_i) img(g_j), expanded through `product_table`.  Pass the
-    table of params.theta to reuse it across calls.
+    goes to img(g_i) img(g_j), expanded through `product_table`.
     """
-    if table is None:
-        table = product_table(params.theta)
-    # column k: the (1, U, V, J) components of the image of factor k
-    s = np.zeros((4, 4), dtype=complex)
-    s[0, 0] = 1.0
-    for k, img in enumerate(closed_images(params), start=1):
-        s[:, k] = (img.s0, img.sU, img.sV, img.sJ)
-    return np.einsum("kln,km,lm->nm", table, s[:, _LEFT], s[:, _RIGHT])
+    s = image_matrix(params)
+    return np.einsum("kln,km,lm->nm", product_table(params.theta),
+                     s[:, _LEFT], s[:, _RIGHT])
 
 
 def constraint_residuals(coeffs, theta):
@@ -354,19 +360,16 @@ def _mu3_from_hyperbolic(mu, ch, sh, theta):
     bitwise the scalar value.
     """
     ab = MuAbbrev.from_mu(mu)
-    mu56 = (mu.mu6 * ch - mu.mu5 * sh) / (2 * mu.mu1 * (1 + ch))
-    mu68 = mu.mu6 ** 2 / (4 * mu.mu1) + mu.mu8
     mu3_0 = -ab.mu24 * ch / sh + mu.mu2 * mu.mu5 / (2 * mu.mu1) - mu.mu6 / 2
-    return mu3_0 + theta * 2 * mu56 * (
-        ab.mu19 * (0.5 + ch) - ab.mu78 * sh - mu68 * (1 + ch) / sh)
+    return mu3_0 + theta * 2 * _mu56(mu, ch, sh) * (
+        ab.mu19 * (0.5 + ch) - ab.mu78 * sh - ab.mu68 * (1 + ch) / sh)
 
 
 def _special_ratio(mu, theta):
     """The coth(lambda) ratio of the special-choice family."""
     ab = MuAbbrev.from_mu(mu)
-    mu68 = mu.mu6 ** 2 / (4 * mu.mu1) + mu.mu8
-    num = mu.mu1 * ab.mu23 + theta * mu.mu5 * mu68
-    den = mu.mu1 * ab.mu24 + theta * mu.mu6 * mu68
+    num = mu.mu1 * ab.mu23 + theta * mu.mu5 * ab.mu68
+    den = mu.mu1 * ab.mu24 + theta * mu.mu6 * ab.mu68
     return num, den
 
 
@@ -530,13 +533,11 @@ def hermitian_counterpart_pt5(mu, theta):
     if not params.is_real:
         num, den = _special_ratio(mu, theta)
         raise BrokenPhaseError(
-            f"broken phase: |coth ratio| = {abs(num / den)} <= 1, "
-            "lambda is complex")
+            f"|coth ratio| = {abs(num / den)} <= 1, lambda is complex")
     lam = params.lam.real
     ch, sh = math.cosh(lam), math.sinh(lam)
     ab = MuAbbrev.from_mu(mu)
-    mu56 = (mu.mu6 * ch - mu.mu5 * sh) / (2 * mu.mu1 * (1 + ch))
-    mu68 = mu.mu6 ** 2 / (4 * mu.mu1) + mu.mu8
+    mu56, mu68 = _mu56(mu, ch, sh), ab.mu68
     mu65 = mu.mu5 / 2 - mu.mu6 / 2 * math.tanh(lam / 2)
 
     c_j = mu.mu2 + theta * mu.mu6 * mu56
@@ -655,7 +656,7 @@ def _coeff_matrix(c):
     return cmat
 
 
-def _residual_rows(cmat, table, theta, lam, rho, tau):
+def _residual_rows(cmat, theta, lam, rho, tau):
     """Hermiticity residuals of eta H eta^-1 for arrays of maps, shape (n, 10).
 
     The vectorized twin of `constraint_residuals(conjugation_matrix(p) @ c)`:
@@ -665,8 +666,8 @@ def _residual_rows(cmat, table, theta, lam, rho, tau):
     s = closed_image_columns(lam, rho, tau, theta)
     sc = (s.reshape(-1, 4) @ cmat).reshape(s.shape)
     q = sc @ s.transpose(0, 2, 1)
-    return constraint_residuals(q.reshape(-1, 16) @ table.reshape(16, 10),
-                                theta)
+    table = product_table(theta).reshape(16, 10)
+    return constraint_residuals(q.reshape(-1, 16) @ table, theta)
 
 
 def _max_abs(r):
@@ -696,7 +697,7 @@ def _uj_vj_solution(c):
     return solve
 
 
-def _c1_zero_solution(cmat0, table, theta):
+def _c1_zero_solution(cmat0, theta):
     """(rho, tau)(lam) solving the J, U^2, V^2 and UV rows at c1 = 0.
 
     Without c1 J^2 those four rows are affine in (rho, tau); they are
@@ -706,7 +707,7 @@ def _c1_zero_solution(cmat0, table, theta):
     def solve(lam):
         n = len(lam)
         zero, one = np.zeros(n), np.ones(n)
-        r = _residual_rows(cmat0, table, theta, np.tile(lam, 3),
+        r = _residual_rows(cmat0, theta, np.tile(lam, 3),
                            np.concatenate([zero, one, zero]),
                            np.concatenate([zero, zero, one]))
         r = r[:, _C1_ZERO_ROWS]
@@ -720,17 +721,17 @@ def _c1_zero_solution(cmat0, table, theta):
     return solve
 
 
-def _gauss_newton(cmat, table, theta, x, steps=6):
+def _gauss_newton(cmat, theta, x):
     """Gauss-Newton iterates on all ten residuals over x = (lam, rho, tau).
 
     Yields x and then each step's point for as long as the max-norm
-    residual keeps decreasing, at most `steps` steps after x.
+    residual keeps decreasing, at most six steps after x.
     """
     last = math.inf
-    for _ in range(steps + 1):
+    for _ in range(7):
         h = 1e-7 * np.maximum(1.0, np.abs(x))
         pts = x + np.vstack([np.zeros(3), np.diag(h)])
-        r = _residual_rows(cmat, table, theta, pts[:, 0], pts[:, 1], pts[:, 2])
+        r = _residual_rows(cmat, theta, pts[:, 0], pts[:, 1], pts[:, 2])
         size = _max_abs(r[0])
         if not size < last:
             return
@@ -762,17 +763,18 @@ def solve_generic_numeric(coeffs, theta):
     |Im c1| > CERT_TOL nothing can certify: the second pass is skipped and
     only the best grid point of the first is evaluated, unpolished.
 
-    The Gauss-Newton iterates are certified through `conjugation_matrix`,
-    the independent scalar route, last iterate first, and the first whose
-    max-norm residual is at most CERT_TOL is returned (Symmetric phase).
-    Otherwise the point with the smallest residual comes back.  A failed
-    search bounds the search, no real map of this form with |lam| <=
-    ELIM_LAM_MAX was found, but it proves nothing about the phase.  The
-    search is deterministic.
+    The Gauss-Newton iterates are certified through `conjugation_matrix`
+    (scalar `cmath` and one einsum, sharing `_fill_images` and
+    `product_table` with the grid; the independent route is the exp(ad)
+    oracle of `verify` and the benchmark check), last iterate first, and
+    the first whose max-norm residual is at most CERT_TOL is returned
+    (Symmetric phase).  Otherwise the point with the smallest residual
+    comes back.  A failed search bounds the search, no real map of this
+    form with |lam| <= ELIM_LAM_MAX was found, but it proves nothing about
+    the phase.  The search is deterministic.
     """
     c = np.array(coeffs.c, dtype=complex)
     c1 = c[0]
-    table = product_table(theta)
     cmat = _coeff_matrix(c)
     certifiable = abs(c1.imag) <= CERT_TOL
     passes = []
@@ -780,20 +782,20 @@ def solve_generic_numeric(coeffs, theta):
         passes.append((cmat, _uj_vj_solution(c)))
     if certifiable:
         cmat0 = _coeff_matrix(np.concatenate([[0.0], c[1:]]))
-        passes.append((cmat0, _c1_zero_solution(cmat0, table, theta)))
+        passes.append((cmat0, _c1_zero_solution(cmat0, theta)))
         if abs(c1) * _C1_SMALL < max(abs(c[4]), abs(c[5])):
             passes.reverse()
 
     def certify(x):
         params = DysonParams(float(x[0]), float(x[1]), float(x[2]), theta)
-        r = constraint_residuals(conjugation_matrix(params, table) @ c, theta)
+        r = constraint_residuals(conjugation_matrix(params) @ c, theta)
         return params, float(_max_abs(r))
 
     best = (None, math.inf)
     with np.errstate(all="ignore"):
         for pass_cmat, solve in passes:
-            for x in _candidates(pass_cmat, table, theta, solve, certifiable):
-                path = (list(_gauss_newton(cmat, table, theta, x))
+            for x in _candidates(pass_cmat, theta, solve, certifiable):
+                path = (list(_gauss_newton(cmat, theta, x))
                         if certifiable else [x])
                 for y in reversed(path):
                     found = certify(y)
@@ -806,7 +808,7 @@ def solve_generic_numeric(coeffs, theta):
     return best
 
 
-def _candidates(cmat, table, theta, solve, certifiable):
+def _candidates(cmat, theta, solve, certifiable):
     """Candidate maps (lam, rho, tau) of one elimination pass, best first.
 
     `solve` gives (rho, tau) at each lam.  The candidates are the grid
@@ -817,7 +819,7 @@ def _candidates(cmat, table, theta, solve, certifiable):
     """
     lam = _ELIM_GRID
     rho, tau = solve(lam)
-    r = _residual_rows(cmat, table, theta, lam, rho, tau)
+    r = _residual_rows(cmat, theta, lam, rho, tau)
     m = _max_abs(r)
     order = _ELIM_BY_SIZE[np.argsort(m[_ELIM_BY_SIZE], kind="stable")]
     if certifiable:
@@ -847,11 +849,10 @@ def solve_generic_multistart(coeffs, theta):
     search is deterministic.
     """
     c = np.array(coeffs.c)
-    table = product_table(theta)
 
     def resid(x):
         params = DysonParams(float(x[0]), float(x[1]), float(x[2]), theta)
-        r = constraint_residuals(conjugation_matrix(params, table) @ c, theta)
+        r = constraint_residuals(conjugation_matrix(params) @ c, theta)
         return np.where(np.isfinite(r), r, 1e50)
 
     def objective(x):

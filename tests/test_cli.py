@@ -333,6 +333,34 @@ def test_hermitize_broken_toy_fails_numerically(tmp_path):
     assert cli.main(["hermitize", "-c", cfg]) == 3
 
 
+# the worked special-choice member is Broken at theta = 4: |coth ratio| = 1/3
+_BROKEN_SPECIAL = ["--set", "model=\"pt5-special\"", "--set", "theta=4.0",
+                   "--set", "fixed={\"mu1\": 1.0, \"mu2\": 0.0, \"mu3\": 1.0, "
+                   "\"mu4\": 2.0, \"mu5\": 1.0, \"mu6\": 1.0, \"mu8\": 0.0}"]
+_BROKEN_TOY = ["--set", "model=\"toy\"", "--set", "theta=0.0", "--set",
+               "fixed={\"mu1\": 1.0, \"mu4\": 1.0, \"mu3\": 0.5}"]
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["hermitize", *_BROKEN_SPECIAL],
+     "|coth ratio| = 0.3333333333333333 <= 1, lambda is complex"),
+    (["spectrum", "-c", "configs/spectrum_fock_pairs.json",
+      "--set", "hamiltonian=\"h\"", *_BROKEN_SPECIAL],
+     "|coth ratio| = 0.3333333333333333 <= 1, lambda is complex"),
+    (["hermitize", *_BROKEN_TOY],
+     "|mu3/mu4| <= 1 gives complex lambda "
+     "(1.0986122886681098+3.141592653589793j)"),
+    (["spectrum", *_BROKEN_TOY],
+     "|mu3/mu4| <= 1 gives complex lambda "
+     "(1.0986122886681098+3.141592653589793j)"),
+])
+def test_broken_phase_is_reported_once(argv, reason, capsys):
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"broken phase: {reason}\n"
+
+
 def test_hermitize_general_model_is_rejected(tmp_path):
     cfg = write_config(tmp_path, "gen.json", {
         "model": "pt5-general", "theta": 1.0,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from deformed_e2 import OperatorPoly, ThetaMismatchError, dagger, max_coeff_diff
+from deformed_e2 import OperatorPoly, ThetaMismatchError, dagger, dyson, max_coeff_diff
 from deformed_e2.dyson import (
     DysonParams,
     ad_matrix,
@@ -126,6 +126,27 @@ def test_real_params_preserve_hermiticity():
     lhs = dagger(adjoint_poly(params, p))
     rhs = adjoint_poly(inv, dagger(p))
     assert max_coeff_diff(lhs, rhs) < 1e-12
+
+
+@pytest.mark.parametrize("route, expm_calls", [("closed", 0), ("oracle", 1)])
+def test_adjoint_poly_builds_one_image_matrix(route, expm_calls, monkeypatch):
+    calls = {"image_matrix": 0, "expm": 0}
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+    monkeypatch.setattr(dyson, "image_matrix",
+                        counted("image_matrix", dyson.image_matrix))
+    monkeypatch.setattr(dyson, "expm", counted("expm", dyson.expm))
+    theta = 0.7
+    u, v, j = (OperatorPoly.generator(g, theta) for g in ("U", "V", "J"))
+    ham = j * j + u * v + 2 * (u * j) + 1j * v * j + u + 3.0
+    adjoint_poly(DysonParams(0.4, -0.3, 0.2, theta), ham, route=route)
+    assert calls == {"image_matrix": 1, "expm": expm_calls}
+    with pytest.raises(ValueError):
+        adjoint_poly(DysonParams(0.4, -0.3, 0.2, theta), ham, route="exact")
 
 
 def test_theta_mismatch_rejected():

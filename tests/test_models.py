@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from deformed_e2 import hermiticity_residual, max_coeff_diff
-from deformed_e2 import models
+from deformed_e2 import OperatorPoly, algebra, models
 from deformed_e2.dyson import SERIES_CUTOFF, DysonParams, adjoint_poly
 from deformed_e2.models import (
     _LAM_GRID,
@@ -369,8 +369,7 @@ def _conjugation_draws(n):
 def test_conjugation_matrix_matches_adjoint_poly():
     worst = {"closed": 0.0, "oracle": 0.0}
     for params, c, theta in _conjugation_draws(210):
-        got = conjugation_matrix(params, product_table(theta)) @ c
-        assert np.array_equal(got, conjugation_matrix(params) @ c)
+        got = conjugation_matrix(params) @ c
         ham = build_general(HamiltonianCoeffs(tuple(c)), theta)
         for route in worst:
             ref = np.array(extract_coeffs(
@@ -393,13 +392,57 @@ def test_conjugation_matrix_identity_and_product_table():
     assert np.array_equal(table[2, 1], vu)
 
 
+def _engine_product_table(theta):
+    """product_table's reference: all 16 products through the engine."""
+    gens = [OperatorPoly.identity(theta)]
+    gens += [OperatorPoly.generator(g, theta) for g in ("U", "V", "J")]
+    table = np.zeros((4, 4, 10), dtype=complex)
+    for k, left in enumerate(gens):
+        for l, right in enumerate(gens):
+            table[k, l] = extract_coeffs(left * right).c
+    return table
+
+
+def test_product_table_matches_the_engine():
+    rng = np.random.default_rng(11)
+    thetas = [0.0, 1e-14, -1e-14, 2.0, -3.0]
+    thetas += [float(x) for x in rng.uniform(-6.0, 6.0, 30)]
+    thetas += [float(x) for x in 10.0 ** rng.uniform(-14.0, 8.0, 30)]
+    for theta in thetas:
+        got, want = product_table(theta), _engine_product_table(theta)
+        assert np.array_equal(got, want), theta
+        assert got.tobytes() == want.tobytes(), theta   # signed zeros too
+
+
+def test_product_table_keeps_theta_below_the_prune_tolerance():
+    # the engine drops coefficients below PRUNE_TOL, so its V U loses the
+    # -i theta scalar; the table keeps it, as the closed images keep theta
+    theta = 1e-300
+    assert _engine_product_table(theta)[2, 1, 9] == 0j
+    assert product_table(theta)[2, 1, 9] == -1j * theta
+    assert product_table(theta)[2, 1, 9] != 0
+
+
+def test_solver_makes_no_engine_products(monkeypatch):
+    cases = list(_planted_family(5))   # planting conjugates through the engine
+    rng = np.random.default_rng(5)
+    z = rng.uniform(-1.0, 1.0, 10) + 1j * rng.uniform(-1.0, 1.0, 10)
+    z[0] = z[0].real
+    cases.append((HamiltonianCoeffs(tuple(z)), 0.7))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("normal_order_product was called")
+    monkeypatch.setattr(algebra, "normal_order_product", forbidden)
+    for k, (coeffs, theta) in enumerate(cases):
+        residual = solve_generic_numeric(coeffs, theta)[1]
+        assert (residual <= CERT_TOL) == (k < 5)
+
+
 def test_grid_residuals_match_scalar_route():
     worst = 0.0
     for params, c, theta in _conjugation_draws(70):
-        table = product_table(theta)
-        want = constraint_residuals(conjugation_matrix(params, table) @ c,
-                                    theta)
-        got = models._residual_rows(models._coeff_matrix(c), table, theta,
+        want = constraint_residuals(conjugation_matrix(params) @ c, theta)
+        got = models._residual_rows(models._coeff_matrix(c), theta,
                                     *(np.array([float(x)]) for x in
                                       (params.lam, params.rho, params.tau)))
         worst = max(worst, np.max(np.abs(got[0] - want))
