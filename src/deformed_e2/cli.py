@@ -33,7 +33,7 @@ for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 
 import numpy as np  # noqa: E402
 
-from .algebra import OperatorPoly, dagger, max_coeff_diff
+from .algebra import OperatorPoly, hermiticity_residual, max_coeff_diff
 from .dyson import DysonParams, adjoint_poly
 from .lazy import ProcessPoolExecutor
 from .models import (
@@ -357,7 +357,10 @@ def cmd_classify(cfg, workers):
         values = {**fixed, **dict(zip(axis_names, point))}
         payloads.append((model, values, values.get("theta", theta_fixed)))
 
-    results = _run_pool(_classify_point, payloads, workers)
+    try:
+        results = _run_pool(_classify_point, payloads, workers)
+    except (ValueError, ArithmeticError) as exc:
+        raise NumericError(str(exc))
 
     swept_cols = [n for n in axis_names if n != "theta"]
     buf = io.StringIO()
@@ -589,7 +592,7 @@ def cmd_hermitize(cfg):
             params = toy_dyson_params(mu1, mu4, lam, theta)
             conj = adjoint_poly(params, build_pt5(toy_mu(mu1, mu4, lam),
                                                   theta))
-            residual = max_coeff_diff(conj, dagger(conj))
+            residual = hermiticity_residual(conj)
             doc = {
                 "model": model,
                 "params": {**values, "theta": theta},
@@ -613,7 +616,7 @@ def cmd_hermitize(cfg):
                 "params": {**values, "mu7": mu.mu7, "mu9": mu.mu9,
                            "theta": theta},
                 "dyson": _dyson_doc(params),
-                "residual": max_coeff_diff(conj, dagger(conj)),
+                "residual": hermiticity_residual(conj),
                 "h": _coeff_doc(closed),
                 "closed_vs_engine": max_coeff_diff(closed, conj),
             }

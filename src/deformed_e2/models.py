@@ -43,7 +43,6 @@ from .algebra import OperatorPoly
 from .dyson import (
     DysonParams,
     closed_image_columns,
-    image_matrix,
     lam_functions_array,
 )
 from .lazy import brentq, least_squares, minimize
@@ -235,18 +234,6 @@ def product_table(theta):
     keeps -i theta at any theta, where the engine prunes it below PRUNE_TOL.
     """
     return _TABLE_BASE + theta * _TABLE_SLOPE
-
-
-def conjugation_matrix(params):
-    """The 10x10 matrix M with eta H(c) eta^-1 = H(M @ c).
-
-    Conjugation by a linear exponent maps span{1, U, V, J} into itself, so
-    it is linear on the degree-2 coefficients: each basis monomial g_i g_j
-    goes to img(g_i) img(g_j), expanded through `product_table`.
-    """
-    s = image_matrix(params)
-    return np.einsum("kln,km,lm->nm", product_table(params.theta),
-                     s[:, _LEFT], s[:, _RIGHT])
 
 
 def constraint_residuals(coeffs, theta):
@@ -656,18 +643,27 @@ def _coeff_matrix(c):
     return cmat
 
 
-def _residual_rows(cmat, theta, lam, rho, tau):
-    """Hermiticity residuals of eta H eta^-1 for arrays of maps, shape (n, 10).
+def _conjugated_coeffs(cmat, theta, lam, rho, tau):
+    """The c_1..c_10 of eta H eta^-1 for arrays of real maps, shape (n, 10).
 
-    The vectorized twin of `constraint_residuals(conjugation_matrix(p) @ c)`:
-    conjugating both factors of each g_k g_l turns C into Q = s C s^T, and
-    `product_table` maps Q's 16 entries to c_1..c_10.
+    Conjugation by a linear exponent maps span{1, U, V, J} into itself, so
+    conjugating both factors of each g_k g_l turns C into Q = s C s^T, with
+    s the closed-form image matrices, and `product_table` maps Q's 16
+    entries to c_1..c_10.  This is the only evaluation of the 10x10 map.
     """
     s = closed_image_columns(lam, rho, tau, theta)
     sc = (s.reshape(-1, 4) @ cmat).reshape(s.shape)
     q = sc @ s.transpose(0, 2, 1)
-    table = product_table(theta).reshape(16, 10)
-    return constraint_residuals(q.reshape(-1, 16) @ table, theta)
+    return q.reshape(-1, 16) @ product_table(theta).reshape(16, 10)
+
+
+def _residual_rows(cmat, theta, lam, rho, tau):
+    """Hermiticity residuals of eta H eta^-1 for arrays of maps, shape (n, 10).
+
+    Every residual the solvers search on, and certify on, comes from here.
+    """
+    return constraint_residuals(
+        _conjugated_coeffs(cmat, theta, lam, rho, tau), theta)
 
 
 def _max_abs(r):
@@ -722,23 +718,28 @@ def _c1_zero_solution(cmat0, theta):
 
 
 def _gauss_newton(cmat, theta, x):
-    """Gauss-Newton iterates on all ten residuals over x = (lam, rho, tau).
+    """Gauss-Newton on all ten residuals over x = (lam, rho, tau).
 
-    Yields x and then each step's point for as long as the max-norm
-    residual keeps decreasing, at most six steps after x.
+    Returns the last iterate and its max-norm residual, from the same
+    `_residual_rows` call that gives the step's finite differences.  Steps
+    go on while that residual keeps decreasing, at most six after x, so the
+    last iterate is the best; they stop at a Jacobian that is not finite,
+    where no nearby point can certify either.
     """
-    last = math.inf
+    best = (x, math.inf)
     for _ in range(7):
         h = 1e-7 * np.maximum(1.0, np.abs(x))
         pts = x + np.vstack([np.zeros(3), np.diag(h)])
         r = _residual_rows(cmat, theta, pts[:, 0], pts[:, 1], pts[:, 2])
-        size = _max_abs(r[0])
-        if not size < last:
-            return
-        yield x
-        last = size
+        size = float(_max_abs(r[0]))
+        if not size < best[1]:
+            break
+        best = (x, size)
         jac = (r[1:] - r[0]).T / h
+        if not np.isfinite(jac).all():
+            break
         x = x + np.linalg.lstsq(jac, -r[0], rcond=None)[0]
+    return best
 
 
 def solve_generic_numeric(coeffs, theta):
@@ -760,78 +761,65 @@ def solve_generic_numeric(coeffs, theta):
     (rho, tau) as if c1 were 0 and polishes against the true c1; it runs
     when the first does not certify, or first when c1 is small (see
     _C1_SMALL).  The J^2 residual is Im c1 for every map, so when
-    |Im c1| > CERT_TOL nothing can certify: the second pass is skipped and
-    only the best grid point of the first is evaluated, unpolished.
+    |Im c1| > CERT_TOL nothing can certify: the best grid point of the
+    first pass comes back, unpolished, with its grid residual.
 
-    The Gauss-Newton iterates are certified through `conjugation_matrix`
-    (scalar `cmath` and one einsum, sharing `_fill_images` and
-    `product_table` with the grid; the independent route is the exp(ad)
-    oracle of `verify` and the benchmark check), last iterate first, and
-    the first whose max-norm residual is at most CERT_TOL is returned
-    (Symmetric phase).  Otherwise the point with the smallest residual
-    comes back.  A failed search bounds the search, no real map of this
-    form with |lam| <= ELIM_LAM_MAX was found, but it proves nothing about
-    the phase.  The search is deterministic.
+    Every residual is a row of `_residual_rows`, the one evaluation route:
+    the first candidate whose polished max-norm residual is at most
+    CERT_TOL is returned (Symmetric phase), otherwise the polished point
+    with the smallest residual.  The independent route is the exp(ad)
+    oracle of `verify` and the benchmark check.  A failed search bounds the
+    search, no real map of this form with |lam| <= ELIM_LAM_MAX was found,
+    but it proves nothing about the phase.  The search is deterministic.
     """
     c = np.array(coeffs.c, dtype=complex)
     c1 = c[0]
     cmat = _coeff_matrix(c)
-    certifiable = abs(c1.imag) <= CERT_TOL
-    passes = []
-    if c1 != 0:
-        passes.append((cmat, _uj_vj_solution(c)))
-    if certifiable:
-        cmat0 = _coeff_matrix(np.concatenate([[0.0], c[1:]]))
-        passes.append((cmat0, _c1_zero_solution(cmat0, theta)))
-        if abs(c1) * _C1_SMALL < max(abs(c[4]), abs(c[5])):
-            passes.reverse()
-
-    def certify(x):
-        params = DysonParams(float(x[0]), float(x[1]), float(x[2]), theta)
-        r = constraint_residuals(conjugation_matrix(params) @ c, theta)
-        return params, float(_max_abs(r))
-
-    best = (None, math.inf)
     with np.errstate(all="ignore"):
-        for pass_cmat, solve in passes:
-            for x in _candidates(pass_cmat, theta, solve, certifiable):
-                path = (list(_gauss_newton(cmat, theta, x))
-                        if certifiable else [x])
-                for y in reversed(path):
-                    found = certify(y)
-                    if found[1] < best[1]:
-                        best = found
-                    if best[1] <= CERT_TOL:
-                        return best
-    if best[0] is None:
+        if abs(c1.imag) > CERT_TOL:
+            best = next(_candidates(cmat, theta, _uj_vj_solution(c)))
+        else:
+            cmat0 = _coeff_matrix(np.concatenate([[0.0], c[1:]]))
+            passes = [(cmat0, _c1_zero_solution(cmat0, theta))]
+            if c1 != 0:
+                passes.insert(0, (cmat, _uj_vj_solution(c)))
+                if abs(c1) < max(abs(c[4]), abs(c[5])) / _C1_SMALL:
+                    passes.reverse()
+            polished = (_gauss_newton(cmat, theta, x)
+                        for pass_cmat, solve in passes
+                        for x, _ in _candidates(pass_cmat, theta, solve))
+            best = (None, math.inf)
+            for found in polished:
+                if found[1] < best[1]:
+                    best = found
+                if best[1] <= CERT_TOL:
+                    break
+    x, residual = best
+    if not residual < math.inf:
         raise ArithmeticError("residuals non-finite on the whole lam grid")
-    return best
+    return DysonParams(float(x[0]), float(x[1]), float(x[2]), theta), residual
 
 
-def _candidates(cmat, theta, solve, certifiable):
+def _candidates(cmat, theta, solve):
     """Candidate maps (lam, rho, tau) of one elimination pass, best first.
 
     `solve` gives (rho, tau) at each lam.  The candidates are the grid
     points where the 2-norm of the ten residuals has a local minimum and
     the point of smallest max-norm residual, ordered by max-norm residual
-    with ties to the smaller |lam|.  When nothing can certify, only the
-    best grid point is a candidate.
+    with ties to the smaller |lam|; each comes with that residual.
     """
     lam = _ELIM_GRID
     rho, tau = solve(lam)
     r = _residual_rows(cmat, theta, lam, rho, tau)
     m = _max_abs(r)
     order = _ELIM_BY_SIZE[np.argsort(m[_ELIM_BY_SIZE], kind="stable")]
-    if certifiable:
-        n = np.linalg.norm(r, axis=1)
-        pad = np.concatenate([[math.inf], n, [math.inf]])
-        # a plateau counts once, at its first point
-        keep = np.isfinite(n) & (n < pad[:-2]) & (n <= pad[2:])
-        keep[order[0]] = True
-        order = order[keep[order]]
-    else:
-        order = order[:1]
-    return np.stack([lam[order], rho[order], tau[order]], axis=1)
+    n = np.linalg.norm(r, axis=1)
+    pad = np.concatenate([[math.inf], n, [math.inf]])
+    # a plateau counts once, at its first point
+    keep = np.isfinite(n) & (n < pad[:-2]) & (n <= pad[2:])
+    keep[order[0]] = True
+    for i in order[keep[order]]:
+        yield np.array([lam[i], rho[i], tau[i]]), float(m[i])
 
 
 def solve_generic_multistart(coeffs, theta):
@@ -839,8 +827,8 @@ def solve_generic_multistart(coeffs, theta):
 
     An independent route that the tests and `verify` compare
     `solve_generic_numeric` against; the CLI does not call it.
-    Multi-start quasi-Newton on the summed squared Hermiticity residuals of
-    `conjugation_matrix(params) @ c`, each start polished by nonlinear
+    Multi-start quasi-Newton on the summed squared Hermiticity residuals,
+    one row of `_residual_rows` per point, each start polished by nonlinear
     least squares.  Returns at the first start whose max-norm residual is
     at most CERT_TOL, which certifies a numerically Hermitizing real map
     (Symmetric phase); otherwise returns the best of all starts.  Failure
@@ -848,11 +836,10 @@ def solve_generic_multistart(coeffs, theta):
     The starts are zero, then 15 draws from a fixed generator, so the
     search is deterministic.
     """
-    c = np.array(coeffs.c)
+    cmat = _coeff_matrix(coeffs.c)
 
     def resid(x):
-        params = DysonParams(float(x[0]), float(x[1]), float(x[2]), theta)
-        r = constraint_residuals(conjugation_matrix(params) @ c, theta)
+        r = _residual_rows(cmat, theta, x[:1], x[1:2], x[2:])[0]
         return np.where(np.isfinite(r), r, 1e50)
 
     def objective(x):

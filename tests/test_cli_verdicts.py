@@ -57,6 +57,40 @@ def test_huge_coefficients_certify_without_warnings(capsys):
     assert doc["certified"] is True and doc["dyson"]["lambda_re"] == 0.0
 
 
+# general-coeffs inputs at the edge of the float range: the first leaves a
+# non-finite Gauss-Newton Jacobian, the second a non-finite lam grid
+_OVERFLOWING = [
+    ({"c1": 1.7e308, "c5": 1.7e308, "c6": -1.7e308, "c7": 1.7e308}, 1.0, 0),
+    ({"c1": 1.0, "c9": 1.7e308}, 4.0, 3),
+]
+
+
+@pytest.mark.parametrize("command", ["classify", "hermitize"])
+@pytest.mark.parametrize("fixed, theta, code", _OVERFLOWING,
+                         ids=["jacobian", "grid"])
+def test_overflowing_coefficients_exit_cleanly(command, fixed, theta, code,
+                                               capsys):
+    argv = [command, "--set", 'model="general-coeffs"',
+            "--set", "fixed=" + json.dumps(fixed), "--set", f"theta={theta}"]
+    if command == "classify":
+        argv += ["--set", 'axes=[{"name": "c3", "min": 0, "max": 1, '
+                          '"steps": 2}]']
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv) == code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    if code == 3:
+        assert captured.err.startswith("numeric failure: ")
+        return
+    assert captured.err == ""
+    if command == "classify":
+        rows = captured.out.strip().split("\n")[1:]
+        assert [row.split(",")[6] for row in rows] == ["Unresolved"] * 2
+    else:
+        assert json.loads(captured.out)["certified"] is False
+
+
 @pytest.mark.parametrize("axes", [
     [{"name": "mu3", "min": 0.0, "max": 1.0, "steps": 10 ** 18}],
     [{"name": "mu3", "min": 0.0, "max": 1.0, "steps": 1001},

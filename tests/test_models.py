@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from deformed_e2 import hermiticity_residual, max_coeff_diff
-from deformed_e2 import OperatorPoly, algebra, models
+from deformed_e2 import OperatorPoly, algebra, dyson, models
 from deformed_e2.dyson import SERIES_CUTOFF, DysonParams, adjoint_poly
 from deformed_e2.models import (
     _LAM_GRID,
@@ -22,7 +22,6 @@ from deformed_e2.models import (
     build_general,
     build_pt5,
     classify_region,
-    conjugation_matrix,
     constraint_residuals,
     extract_coeffs,
     find_exceptional_point,
@@ -366,10 +365,17 @@ def _conjugation_draws(n):
         yield DysonParams(lam, rho, tau, theta), c, theta
 
 
-def test_conjugation_matrix_matches_adjoint_poly():
+def _conjugated(params, c):
+    """One row of the solver's conjugated c_1..c_10 at a single map."""
+    x = [np.array([float(v)]) for v in (params.lam, params.rho, params.tau)]
+    return models._conjugated_coeffs(models._coeff_matrix(c), params.theta,
+                                     *x)[0]
+
+
+def test_conjugated_coeffs_match_adjoint_poly():
     worst = {"closed": 0.0, "oracle": 0.0}
     for params, c, theta in _conjugation_draws(210):
-        got = conjugation_matrix(params) @ c
+        got = _conjugated(params, c)
         ham = build_general(HamiltonianCoeffs(tuple(c)), theta)
         for route in worst:
             ref = np.array(extract_coeffs(
@@ -379,10 +385,11 @@ def test_conjugation_matrix_matches_adjoint_poly():
     assert worst["closed"] <= 1e-12 and worst["oracle"] <= 1e-12, worst
 
 
-def test_conjugation_matrix_identity_and_product_table():
+def test_zero_map_and_product_table():
     # lam = rho = tau = 0 is the identity map, at any theta
-    assert np.array_equal(conjugation_matrix(DysonParams(0.0, 0.0, 0.0, 2.0)),
-                          np.eye(10))
+    rng = np.random.default_rng(3)
+    c = rng.uniform(-1.0, 1.0, 10) + 1j * rng.uniform(-1.0, 1.0, 10)
+    assert np.array_equal(_conjugated(DysonParams(0.0, 0.0, 0.0, 2.0), c), c)
     # J U = UJ - iV and V U = UV - i theta in normal order
     table = product_table(2.0)
     ju, vu = np.zeros(10, complex), np.zeros(10, complex)
@@ -431,23 +438,36 @@ def test_solver_makes_no_engine_products(monkeypatch):
     cases.append((HamiltonianCoeffs(tuple(z)), 0.7))
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("normal_order_product was called")
+        raise AssertionError("a scalar or engine route was called")
     monkeypatch.setattr(algebra, "normal_order_product", forbidden)
+    # the scalar image evaluator: every residual comes from the grid rows
+    monkeypatch.setattr(dyson, "_lam_functions", forbidden)
     for k, (coeffs, theta) in enumerate(cases):
         residual = solve_generic_numeric(coeffs, theta)[1]
         assert (residual <= CERT_TOL) == (k < 5)
 
 
-def test_grid_residuals_match_scalar_route():
-    worst = 0.0
-    for params, c, theta in _conjugation_draws(70):
-        want = constraint_residuals(conjugation_matrix(params) @ c, theta)
-        got = models._residual_rows(models._coeff_matrix(c), theta,
-                                    *(np.array([float(x)]) for x in
-                                      (params.lam, params.rho, params.tau)))
-        worst = max(worst, np.max(np.abs(got[0] - want))
-                    / max(1.0, np.max(np.abs(want))))
-    assert worst <= 1e-13, worst
+def test_solver_residual_is_one_of_its_own_rows(monkeypatch):
+    seen = set()
+    real = models._residual_rows
+
+    def recorded(*args):
+        r = real(*args)
+        seen.update(models._max_abs(r).tolist())
+        return r
+
+    monkeypatch.setattr(models, "_residual_rows", recorded)
+    cases = list(_planted_family(5))   # c1 generic, 0, 1e-9, 1e-12
+    rng = np.random.default_rng(5)
+    for c1 in (0.3 + 0.4j, 0.8, 0.0):   # uncertifiable, real, zero
+        z = rng.uniform(-1.0, 1.0, 10) + 1j * rng.uniform(-1.0, 1.0, 10)
+        z[0] = c1
+        cases.append((HamiltonianCoeffs(tuple(z)), 0.7))
+    for k, (coeffs, theta) in enumerate(cases):
+        seen.clear()
+        residual = solve_generic_numeric(coeffs, theta)[1]
+        assert (residual <= CERT_TOL) == (k < 5)
+        assert residual in seen, (k, residual)
 
 
 def _planted(a, theta, lam, rho, tau):
