@@ -549,6 +549,8 @@ def cmd_ep(cfg):
         point = find_exceptional_point(family, (lo, hi), mode=mode, tol=tol)
     except ValueError as exc:
         raise ConfigError(str(exc))
+    except ArithmeticError as exc:
+        raise NumericError(str(exc))
     doc = {
         "model": model,
         "sweep": {"name": name, "min": lo, "max": hi},

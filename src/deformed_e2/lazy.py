@@ -1,12 +1,12 @@
 """Heavy dependencies, each imported on its first call.
 
 Importing scipy.linalg and scipy.optimize takes most of the wall time of a
-fresh CLI process, and no data command needs both: a fock or planar
-`spectrum` needs scipy.linalg for `eig`; `classify` and `ep` need
-scipy.optimize only where `brentq` polishes a bracketed deformed mu3 root;
-the other runs need neither, and `verify` needs both.  Each wrapper here
-imports the function it stands for when it is called, so a process pays
-only for what its command uses.
+fresh CLI process, and few runs need them: a fock or planar `spectrum`
+needs scipy.linalg for `eig`, and `verify` needs both.  `classify`, `ep`
+and `hermitize` need neither (the deformed mu3 root is polished by
+`models._brent`, the general-coeffs solver eliminates without an
+optimizer).  Each wrapper here imports the function it stands for when it
+is called, so a process pays only for what its command uses.
 
 Callers bind a wrapper under the real name (``from .lazy import eig``), so
 ``models.minimize``, ``representations.eig`` and ``cli.ProcessPoolExecutor``
@@ -26,12 +26,6 @@ def eig(a, *args, **kwargs):
     """scipy.linalg.eig."""
     from scipy.linalg import eig as f
     return f(a, *args, **kwargs)
-
-
-def brentq(*args, **kwargs):
-    """scipy.optimize.brentq."""
-    from scipy.optimize import brentq as f
-    return f(*args, **kwargs)
 
 
 def minimize(*args, **kwargs):

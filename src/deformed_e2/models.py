@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -45,7 +46,7 @@ from .dyson import (
     closed_image_columns,
     lam_functions_array,
 )
-from .lazy import brentq, least_squares, minimize
+from .lazy import least_squares, minimize
 
 SYMMETRIC = "Symmetric"
 BROKEN = "Broken"
@@ -331,22 +332,21 @@ def mu3_deformed(mu, lam, theta):
     mu3 = -mu24 coth(lam) + mu2 mu5/(2 mu1) - mu6/2 at theta = 0.
     The mu3 stored on `mu` is ignored (this is the equation for it).
     """
-    if mu.mu1 == 0:
-        raise ValueError("mu1 must be nonzero")
+    ab = MuAbbrev.from_mu(mu)
     lam = float(lam)
     ch, sh = math.cosh(lam), math.sinh(lam)
     if sh == 0:
         raise ValueError("lambda = 0 is singular in the (1+cosh)/sinh term")
-    return _mu3_from_hyperbolic(mu, ch, sh, theta)
+    return _mu3_from_hyperbolic(mu, ab, ch, sh, theta)
 
 
-def _mu3_from_hyperbolic(mu, ch, sh, theta):
-    """`mu3_deformed` given cosh and sinh of lambda, as floats or arrays.
+def _mu3_from_hyperbolic(mu, ab, ch, sh, theta):
+    """`mu3_deformed` given `ab = MuAbbrev.from_mu(mu)` and cosh and sinh of
+    lambda, as floats or arrays.
 
     Arrays go through the same operation order as floats, so each entry is
     bitwise the scalar value.
     """
-    ab = MuAbbrev.from_mu(mu)
     mu3_0 = -ab.mu24 * ch / sh + mu.mu2 * mu.mu5 / (2 * mu.mu1) - mu.mu6 / 2
     return mu3_0 + theta * 2 * _mu56(mu, ch, sh) * (
         ab.mu19 * (0.5 + ch) - ab.mu78 * sh - ab.mu68 * (1 + ch) / sh)
@@ -393,7 +393,7 @@ def _ratio_test(num, den):
 
 # Search window for a real lambda solving the deformed mu3 condition: sign
 # changes of F(lam) = mu3_deformed(lam) - mu3 are bracketed on a symmetric
-# log grid and polished by brentq.
+# log grid and polished by `_brent`.
 _LAM_GRID = np.concatenate([
     -np.logspace(math.log10(30.0), -6, 200),
     np.logspace(-6, math.log10(30.0), 200),
@@ -405,20 +405,84 @@ _GRID_SINH = np.array([math.sinh(x) for x in _LAM_GRID])
 # a bracket never spans lambda = 0, where F has a pole
 _GRID_SPLIT = (_LAM_GRID[:-1] < 0) & (_LAM_GRID[1:] > 0)
 
+# scipy.optimize.brentq's defaults
+_BRENT_RTOL = 4 * sys.float_info.epsilon
+_BRENT_MAXITER = 100
 
-def _mu3_grid_values(mu, theta):
-    """F(lam) = mu3_deformed(mu, lam, theta) - mu3 at every _LAM_GRID point."""
+
+def _brent(f, a, b, xtol):
+    """A root of f between a and b, where f(a) and f(b) differ in sign.
+
+    A port of scipy.optimize.brentq (R. P. Brent, Algorithms for
+    Minimization Without Derivatives, 1973, ch. 4) at its default rtol and
+    maxiter: the same float operations in the same order, so the same
+    iterates and root, bit for bit.  `test_brent_matches_scipy_brentq` in
+    tests/test_models.py pins that.  Raises ValueError on a NaN value of f
+    or on endpoints of one sign, and RuntimeError when it does not
+    converge, as brentq does.
+    """
+    def value(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; "
+                             "solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        short = False  # else bisect
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            limit = 3 * abs(sbis) - delta
+            short = 2 * abs(stry) < (abs(spre) if abs(spre) < limit else limit)
+        spre, scur = (scur, stry) if short else (sbis, sbis)
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} "
+                       f"iterations, value is {xcur:f}")
+
+
+def _mu3_grid_values(mu, ab, theta):
+    """F(lam) = mu3_deformed(mu, lam, theta) - mu3 at every _LAM_GRID point,
+    given `ab = MuAbbrev.from_mu(mu)`."""
     with np.errstate(all="ignore"):
-        return _mu3_from_hyperbolic(mu, _GRID_COSH, _GRID_SINH, theta) - mu.mu3
+        return (_mu3_from_hyperbolic(mu, ab, _GRID_COSH, _GRID_SINH, theta)
+                - mu.mu3)
 
 
-def _deformed_mu3_root(mu, theta):
+def _deformed_mu3_root(mu, ab, theta):
     """(lam, min |F|) with lam a real root of the mu3 condition, or None.
 
     The first grid interval (in grid order) holding a zero or a sign change
     of F gives the root; otherwise min |F| runs over all finite intervals.
+    `ab` is `MuAbbrev.from_mu(mu)`.
     """
-    vals = _mu3_grid_values(mu, theta)
+    vals = _mu3_grid_values(mu, ab, theta)
     fa, fb = vals[:-1], vals[1:]
     usable = np.isfinite(fa) & np.isfinite(fb) & ~_GRID_SPLIT
     with np.errstate(all="ignore"):
@@ -428,9 +492,12 @@ def _deformed_mu3_root(mu, theta):
         a, b = _LAM_GRID[i], _LAM_GRID[i + 1]
         if fa[i] == 0:
             return float(a), 0.0
-        root = brentq(lambda lam: mu3_deformed(mu, lam, theta) - mu.mu3,
-                      a, b, xtol=1e-12)
-        return float(root), 0.0
+
+        def f(lam):  # mu3_deformed(mu, lam, theta) - mu3, bit for bit
+            return (_mu3_from_hyperbolic(mu, ab, math.cosh(lam),
+                                         math.sinh(lam), theta) - mu.mu3)
+
+        return _brent(f, a, b, xtol=1e-12), 0.0
     miss = np.minimum(np.abs(fa), np.abs(fb))[usable].min(initial=math.inf)
     return None, float(miss)
 
@@ -485,7 +552,7 @@ def classify_region(mu, theta, mode="general"):
             lam = arccoth(ab.mu23 / ab.mu24)
     else:
         name2 = "real lambda for mu3 condition"
-        root, miss = _deformed_mu3_root(mu, theta)
+        root, miss = _deformed_mu3_root(mu, ab, theta)
         if root is not None:
             m2, b2, lam = 1.0, False, complex(root)
         elif miss <= BOUNDARY_TOL:

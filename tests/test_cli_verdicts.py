@@ -91,6 +91,27 @@ def test_overflowing_coefficients_exit_cleanly(command, fixed, theta, code,
         assert json.loads(captured.out)["certified"] is False
 
 
+# a special-choice member whose mu7 = (mu5^2 + ...)/(4 mu1) overflows
+_OVERFLOWING_MU = ["--set", 'model="pt5-special"', "--set",
+                   'fixed={"mu1": 1, "mu2": 0, "mu3": 1, "mu4": 2, '
+                   '"mu5": 1e300, "mu6": 1, "mu8": 0}']
+
+
+@pytest.mark.parametrize("extra", [
+    ["classify", "--set", 'axes=[{"name": "theta", "min": 0, "max": 16, '
+                          '"steps": 3}]'],
+    ["ep", "--set", 'sweep={"name": "theta", "min": 0, "max": 16}',
+     "--set", "tol=1e-7"],
+    ["hermitize", "--set", "theta=12"],
+    ["spectrum", "--set", "theta=1"],
+], ids=lambda extra: extra[0])
+def test_overflowing_member_is_a_numeric_failure(extra, capsys):
+    assert cli.main(extra[:1] + _OVERFLOWING_MU + extra[1:]) == 3
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("numeric failure: ")
+
+
 @pytest.mark.parametrize("axes", [
     [{"name": "mu3", "min": 0.0, "max": 1.0, "steps": 10 ** 18}],
     [{"name": "mu3", "min": 0.0, "max": 1.0, "steps": 1001},

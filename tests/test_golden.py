@@ -24,12 +24,14 @@ TESTS = Path(__file__).parent
 GOLDEN = TESTS / "golden"
 CASES = [("classify", "classify_mu3_sweep.csv"),
          ("classify", "classify_theta_sweep.csv"),
+         ("classify", "classify_deformed_sweep.csv"),
          ("ep", "ep_theta_sweep.json"),
          ("hermitize", "hermitize_special.json"),
          ("spectrum", "spectrum_toy.json"),
          ("spectrum", "spectrum_fock_pairs.json")]
 # scipy modules a fresh run imports, per config: only the fock spectrum
-# reaches `eig`, and no config has a deformed mu3 root for `brentq`
+# reaches `eig`; `classify_deformed_sweep` polishes 119 deformed mu3 roots
+# in-package
 FRESH_SCIPY = {"spectrum_fock_pairs.json": {"scipy.linalg"}}
 
 

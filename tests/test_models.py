@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from deformed_e2 import hermiticity_residual, max_coeff_diff
 from deformed_e2 import OperatorPoly, algebra, dyson, models
@@ -536,7 +537,7 @@ def test_elimination_never_calls_the_optimizers(monkeypatch):
         raise AssertionError("an optimizer was called")
     monkeypatch.setattr(models, "minimize", forbidden)
     monkeypatch.setattr(models, "least_squares", forbidden)
-    monkeypatch.setattr(models, "brentq", forbidden)
+    monkeypatch.setattr(models, "_brent", forbidden)
     for coeffs, theta in _planted_family(10):
         assert solve_generic_numeric(coeffs, theta)[1] <= CERT_TOL
 
@@ -605,8 +606,14 @@ def test_solver_generic_input_runs_every_start(monkeypatch):
     assert residual == pytest.approx(0.5877098164951151, rel=2e-8)
 
 
+def _random_deformed_member(rng):
+    m = rng.uniform(-2.0, 2.0, 9)
+    m[0] = math.copysign(rng.uniform(0.2, 2.0), m[0])
+    return Mu(*(float(x) for x in m)), float(rng.uniform(0.05, 6.0))
+
+
 def _scalar_mu3_root(mu, theta):
-    """The grid scan as a scalar loop over mu3_deformed."""
+    """The grid scan as a scalar loop over mu3_deformed, polished by scipy."""
     def f(lam):
         return mu3_deformed(mu, lam, theta) - mu.mu3
 
@@ -623,7 +630,7 @@ def _scalar_mu3_root(mu, theta):
         if fa == 0:
             return vals, (float(a), 0.0)
         if fa * fb < 0:
-            return vals, (float(models.brentq(f, a, b, xtol=1e-12)), 0.0)
+            return vals, (float(brentq(f, a, b, xtol=1e-12)), 0.0)
         best_miss = min(best_miss, abs(fa), abs(fb))
     return vals, (None, best_miss)
 
@@ -632,13 +639,54 @@ def test_vectorized_mu3_grid_matches_scalar_loop():
     rng = np.random.default_rng(2718)
     outcomes = set()
     for _ in range(1000):
-        m = rng.uniform(-2.0, 2.0, 9)
-        m[0] = math.copysign(rng.uniform(0.2, 2.0), m[0])
-        mu = Mu(*(float(x) for x in m))
-        theta = float(rng.uniform(0.05, 6.0))
+        mu, theta = _random_deformed_member(rng)
+        ab = MuAbbrev.from_mu(mu)
         vals, want = _scalar_mu3_root(mu, theta)
-        assert np.array_equal(models._mu3_grid_values(mu, theta), vals)
-        got = models._deformed_mu3_root(mu, theta)
+        assert np.array_equal(models._mu3_grid_values(mu, ab, theta), vals)
+        got = models._deformed_mu3_root(mu, ab, theta)
         assert got == want
         outcomes.add(got[0] is None)
     assert outcomes == {True, False}   # both roots and misses were drawn
+
+
+def test_brent_matches_scipy_brentq():
+    # the in-package polish against scipy.optimize.brentq, the independent
+    # route, on the first three brackets of each member's lam grid
+    rng = np.random.default_rng(1414)
+    brackets = 0
+    for _ in range(1000):
+        mu, theta = _random_deformed_member(rng)
+        ab = MuAbbrev.from_mu(mu)
+        vals = models._mu3_grid_values(mu, ab, theta)
+        fa, fb = vals[:-1], vals[1:]
+        with np.errstate(all="ignore"):
+            hits = np.flatnonzero(np.isfinite(fa) & np.isfinite(fb)
+                                  & (fa * fb < 0) & ~models._GRID_SPLIT)
+
+        def f(lam):
+            return mu3_deformed(mu, lam, theta) - mu.mu3
+
+        for i in hits[:3]:
+            a, b = _LAM_GRID[i], _LAM_GRID[i + 1]
+            got = models._brent(f, a, b, xtol=1e-12)
+            assert got.hex() == brentq(f, a, b, xtol=1e-12).hex(), (mu, a, b)
+            brackets += 1
+    assert brackets >= 1000
+
+
+def test_brent_edge_cases_match_scipy_brentq():
+    def line(x):
+        return x - 1.0
+
+    for f, a, b in ((line, 1.0, 3.0), (line, -2.0, 1.0), (line, 0.5, 4.0),
+                    (lambda x: x, -1.0, 2.0), (lambda x: x, -3.0, 0.5)):
+        got = models._brent(f, a, b, xtol=1e-12)
+        assert got.hex() == brentq(f, a, b, xtol=1e-12).hex()
+    assert models._brent(line, 1.0, 3.0, xtol=1e-12) == 1.0   # f(a) = 0
+    assert models._brent(line, -2.0, 1.0, xtol=1e-12) == 1.0  # f(b) = 0
+    for f, a, b in ((line, 2.0, 3.0), (lambda x: math.nan, 0.0, 1.0)):
+        with pytest.raises(ValueError) as want:
+            brentq(f, a, b, xtol=1e-12)
+        with pytest.raises(ValueError) as got:
+            models._brent(f, a, b, xtol=1e-12)
+        assert str(got.value) == str(want.value)
