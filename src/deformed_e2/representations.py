@@ -336,36 +336,80 @@ def _canonical_order(e):
     return order[np.lexsort((z.imag, np.cumsum(jump)))]
 
 
+# i^k for k mod 4, exact: multiplying by these only swaps and negates parts
+_I_POWERS = np.array([1, 1j, -1, -1j])
+
+
+def real_gauge(m, rep):
+    """The matrix `diagonalize_classify` hands to `eig` for m: a real one
+    with the same spectrum when there is one, else m itself.
+
+    Fock U and J are real and V is imaginary, so a PT5 member (U -> U,
+    V -> -V, conjugation) is a real matrix as it stands.  On the planar
+    grid PT5 acts as P_y K, and S = diag(i^{n_y}) squares to P_y, so
+    S^-1 m S, entry ((ix, iy), (jx, jy)) times i^(jy - iy), is real.
+    When that gauged matrix has an exactly zero imaginary part, its real
+    part is returned; otherwise m, ungauged, so a spectrum that is not
+    PT5 keeps its bytes.
+    """
+    g = m
+    if rep.kind == "planar":
+        nx, ny = rep.dims
+        k = np.arange(ny)
+        phase = _I_POWERS[(k[None, :] - k[:, None]) % 4]
+        g = (m.reshape(nx, ny, nx, ny) * phase[:, None, :]).reshape(m.shape)
+    return m if g.imag.any() else g.real
+
+
+def enlarged_representation(rep, delta=None):
+    """`rep` with every axis grown by `delta` (see `enlarged_dims`)."""
+    big = enlarged_dims(rep.dims, delta)
+    return make_representation(rep.kind, rep.theta,
+                               big if rep.kind == "planar" else big[0],
+                               rep.j0)
+
+
 def diagonalize_classify(p, rep, delta=None):
     """Spectrum of p in the representation, with truncation filtering.
 
     Fock and planar (size >= 16): diagonalizes again with the truncation
-    enlarged by `delta` (default: a quarter) and keeps the eigenvalues whose
-    greedy partner moved less than 1e-6 (1 + |E|); the verdict on them has
-    reality tolerance 1e-6 radius and pair tolerance 1e-6 (1 + |E|).  Circle:
-    the matrix is diagonal, all exact, both tolerances 1e-12 max(1, radius).
+    enlarged by `delta` (default: a quarter) and judges the two spectra by
+    `truncation_report`; each matrix goes to `eig` through `real_gauge`.
+    Circle: the matrix is diagonal, all exact, both tolerances
+    1e-12 max(1, radius).
     """
-    exact = rep.kind == "circle"
-    if exact:
+    if rep.kind == "circle":
         e1 = np.diagonal(poly_to_matrix(p, rep))
-        stable = np.ones(len(e1), dtype=bool)
-    else:
-        if rep.size < 16:
-            raise ValueError("matrix size below 16 is all edge, no interior")
-        big = enlarged_dims(rep.dims, delta)
-        big = make_representation(rep.kind, rep.theta,
-                                  big if rep.kind == "planar" else big[0],
-                                  rep.j0)
-        try:
-            e1 = eig(poly_to_matrix(p, rep), right=False)
-            e2 = eig(poly_to_matrix(p, big), right=False)
-        except np.linalg.LinAlgError as exc:
-            return SpectrumReport((), (), (), INCONCLUSIVE,
-                                  diagnostic=f"eigensolver failure: {exc}")
-        stable = np.zeros(len(e1), dtype=bool)
-        for i, j in _greedy_match(e1, e2):
-            if abs(e1[i] - e2[j]) < 1e-6 * (1 + abs(e1[i])):
-                stable[i] = True
+        return _report(e1, np.ones(len(e1), dtype=bool), exact=True)
+    if rep.size < 16:
+        raise ValueError("matrix size below 16 is all edge, no interior")
+    big = enlarged_representation(rep, delta)
+    try:
+        e1, e2 = (eig(real_gauge(poly_to_matrix(p, r), r), right=False)
+                  for r in (rep, big))
+    except np.linalg.LinAlgError as exc:
+        return SpectrumReport((), (), (), INCONCLUSIVE,
+                              diagnostic=f"eigensolver failure: {exc}")
+    return truncation_report(e1, e2)
+
+
+def truncation_report(e1, e2):
+    """Judge the base-truncation eigenvalues e1 against the enlarged e2.
+
+    Keeps the eigenvalues whose greedy partner moved less than
+    1e-6 (1 + |E|); the verdict on them has reality tolerance 1e-6 radius
+    and pair tolerance 1e-6 (1 + |E|).
+    """
+    stable = np.zeros(len(e1), dtype=bool)
+    for i, j in _greedy_match(e1, e2):
+        if abs(e1[i] - e2[j]) < 1e-6 * (1 + abs(e1[i])):
+            stable[i] = True
+    return _report(e1, stable, exact=False)
+
+
+def _report(e1, stable, exact):
+    """SpectrumReport of e1 with stability flags `stable`; `exact` picks
+    the circle's tolerances."""
     order = _canonical_order(e1)
     eigenvalues = tuple(complex(z) for z in e1[order])
     flags = tuple(bool(f) for f in stable[order])

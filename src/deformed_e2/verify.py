@@ -30,6 +30,7 @@ from .algebra import (
     pt_invariance_check,
 )
 from .dyson import DysonParams, adjoint_generator_closed, adjoint_generator_oracle, adjoint_poly
+from .lazy import eig
 from .models import (
     BOUNDARY,
     BROKEN,
@@ -62,11 +63,14 @@ from .representations import (
     CONJUGATE_PAIRS,
     commutator_fidelity,
     diagonalize_classify,
+    enlarged_representation,
     eta_matrix,
     generator_matrices,
     isospectral_check,
     make_representation,
     poly_to_matrix,
+    real_gauge,
+    truncation_report,
 )
 
 FAULT_ADJOINT_THETA = "adjoint-theta"
@@ -644,6 +648,38 @@ def _isospectrality(fault):
     return ok, (f"matched {iso.n_matched}, worst relative mismatch "
                 f"{iso.max_mismatch:.3e}, verdicts "
                 f"({iso.verdict_h}, {iso.verdict_hh})")
+
+
+@_register("spectral", "real-gauge eig vs complex eig")
+def _real_gauge_route(fault):
+    # the worked member on fock and a pt5-general member with conjugate
+    # pairs on the planar grid: the real route of `diagonalize_classify`
+    # against the same two truncations diagonalized as complex matrices.
+    # Fock 60: at 80 levels the worked H is so far from normal that its
+    # converged eigenvalues move by up to 2e-7 with the rounding of eig
+    cases = ((build_pt5(_WORKED_MU, 12.0),
+              make_representation("fock", 12.0, 60), 15),
+             (build_pt5(Mu(mu1=1.0, mu3=1.0, mu4=2.0), 2.0),
+              make_representation("planar", 2.0, (10, 10)), None))
+    same = True
+    worst = 0.0
+    summary = []
+    for p, rep, delta in cases:
+        reps = (rep, enlarged_representation(rep, delta))
+        real = all(real_gauge(poly_to_matrix(p, r), r).dtype == np.float64
+                   for r in reps)
+        got = diagonalize_classify(p, rep, delta)
+        want = truncation_report(*(eig(poly_to_matrix(p, r), right=False)
+                                   for r in reps))
+        same = (same and real and got.flags == want.flags
+                and (got.verdict, got.pairs) == (want.verdict, want.pairs))
+        for a, b in zip(got.converged, want.converged):
+            worst = max(worst, abs(a - b) / abs(b))
+        summary.append(f"{rep.kind}: {got.verdict}, pairs={got.pairs}, "
+                       f"{len(got.converged)} converged")
+    return same and worst < 1e-10, (
+        f"{'; '.join(summary)}; real matrices, same flags and verdicts: "
+        f"{same}, worst relative converged deviation {worst:.3e}")
 
 
 SUITES = tuple(dict.fromkeys(check.suite for check in CHECKS))

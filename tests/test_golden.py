@@ -1,11 +1,12 @@
 """Byte-for-byte CLI output on every shipped config and on the `verify
 --json` report; a refactor that keeps behaviour keeps these bytes.
 
-Two of the files pass through LAPACK: `spectrum_fock_pairs.json` (`eig`)
-and `verify.json` (the spectral checks' details).  They are compared byte
-for byte too: `tests/conftest.py` pins BLAS to one thread, and both were
-seen byte-identical over repeated runs with one thread and with the
-default count.
+Four of the files pass through LAPACK: the three fock and planar
+`spectrum_*.json` (`eig`; fock pairs and planar take the real route of
+`real_gauge`, general-coeffs the complex one) and `verify.json` (the
+spectral checks' details).  They are compared byte for byte too:
+`tests/conftest.py` pins BLAS to one thread, and each was seen
+byte-identical with one thread and with two.
 
 The in-process runs follow tests that have already imported scipy; the
 fresh-process runs import each scipy module on first use, as a CLI call
@@ -28,11 +29,16 @@ CASES = [("classify", "classify_mu3_sweep.csv"),
          ("ep", "ep_theta_sweep.json"),
          ("hermitize", "hermitize_special.json"),
          ("spectrum", "spectrum_toy.json"),
-         ("spectrum", "spectrum_fock_pairs.json")]
-# scipy modules a fresh run imports, per config: only the fock spectrum
-# reaches `eig`; `classify_deformed_sweep` polishes 119 deformed mu3 roots
-# in-package
-FRESH_SCIPY = {"spectrum_fock_pairs.json": {"scipy.linalg"}}
+         ("spectrum", "spectrum_fock_pairs.json"),
+         ("spectrum", "spectrum_planar.json"),
+         ("spectrum", "spectrum_general_coeffs.json")]
+# scipy modules a fresh run imports, per config: only the fock and planar
+# spectra reach `eig`; `classify_deformed_sweep` polishes 119 deformed mu3
+# roots in-package
+FRESH_SCIPY = {golden: {"scipy.linalg"}
+               for golden in ("spectrum_fock_pairs.json",
+                              "spectrum_planar.json",
+                              "spectrum_general_coeffs.json")}
 
 
 @pytest.mark.parametrize("command, golden", CASES)

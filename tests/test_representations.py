@@ -8,9 +8,12 @@ from deformed_e2 import representations
 from deformed_e2.dyson import DysonParams
 from deformed_e2.models import (
     BrokenPhaseError,
+    HamiltonianCoeffs,
     Mu,
+    build_general,
     build_pt5,
     hermitian_counterpart_pt5,
+    toy_mu,
     with_special_choice,
 )
 from deformed_e2.representations import (
@@ -19,11 +22,14 @@ from deformed_e2.representations import (
     _greedy_match,
     commutator_fidelity,
     diagonalize_classify,
+    enlarged_representation,
     eta_matrix,
     generator_matrices,
     isospectral_check,
     make_representation,
     poly_to_matrix,
+    real_gauge,
+    truncation_report,
 )
 
 WORKED = with_special_choice(
@@ -387,3 +393,125 @@ def test_greedy_match_equals_flat_argsort_pairing():
                   np.concatenate([m * m, np.arange(9, 13) ** 2]).astype(complex)))
     for a, b in cases:
         assert _greedy_match(a, b) == _flat_argsort_match(a, b)
+
+
+# ---------------------------------------------------------------------------
+# real_gauge: PT5 matrices go to eig as real ones
+
+
+def _pt5_member(rng, which, theta):
+    """A PT5 polynomial at theta: which 0 pt5-general H, 1 pt5-special H,
+    2 pt5-special h (redrawn until the phase is unbroken), 3 toy H."""
+    def u(lo=-2.0, hi=2.0):
+        return float(rng.uniform(lo, hi))
+    if which == 0:
+        return build_pt5(Mu(u(0.5, 1.5), *(u() for _ in range(8))), theta)
+    if which == 3:
+        return build_pt5(toy_mu(u(0.5, 1.5), u(0.5, 2.0), u(0.2, 2.0)),
+                         theta)
+    while True:
+        mu = with_special_choice(Mu(mu1=u(0.5, 1.5), mu2=u(), mu3=u(),
+                                    mu4=u(), mu5=u(), mu6=u(), mu8=u()))
+        if which == 1:
+            return build_pt5(mu, theta)
+        try:
+            return hermitian_counterpart_pt5(mu, theta)
+        except (BrokenPhaseError, ZeroDivisionError):
+            continue
+
+
+def _complex_route(p, rep):
+    """diagonalize_classify with every matrix handed to eig as complex."""
+    big = enlarged_representation(rep)
+    return truncation_report(*(representations.eig(
+        poly_to_matrix(p, r), right=False) for r in (rep, big)))
+
+
+@pytest.mark.parametrize("kind, theta, dims, j0", [
+    ("fock", 1.3, 30, 0.0),
+    ("fock", 0.4, 25, 0.25),
+    ("fock", 6.0, 20, -1.5),
+    ("planar", 1.3, (8, 8), 0.0),
+    ("planar", 2.5, (9, 13), 0.0),
+    ("planar", 0.8, (12, 5), 0.0),
+    ("planar", -1.7, (7, 10), 0.0),
+    ("planar", 0.0, (9, 9), 0.0),
+])
+def test_real_gauge_makes_pt5_matrices_real(kind, theta, dims, j0):
+    rng = np.random.default_rng(21)
+    rep = make_representation(kind, theta, dims, j0=j0)
+    for which in (0, 1, 2, 3) * 3:
+        m = poly_to_matrix(_pt5_member(rng, which, theta), rep)
+        g = real_gauge(m, rep)
+        assert g.dtype == np.float64 and g.shape == m.shape
+        # a similarity: the same characteristic data, entry sizes kept
+        assert np.array_equal(np.abs(g), np.abs(m))
+        assert abs(np.trace(g) - np.trace(m)) <= 1e-12 * (1 + abs(np.trace(m)))
+
+
+def test_real_gauge_leaves_non_pt5_matrices_alone():
+    rng = np.random.default_rng(22)
+    for kind, dims in (("fock", 30), ("planar", (6, 7))):
+        rep = make_representation(kind, 0.9, dims)
+        c = HamiltonianCoeffs(tuple(complex(*rng.normal(size=2))
+                                    for _ in range(10)))
+        m = poly_to_matrix(build_general(c, 0.9), rep)
+        assert real_gauge(m, rep) is m
+
+
+def test_eig_sees_real_input_for_pt5_and_complex_for_general(monkeypatch):
+    seen = []
+    eig = representations.eig
+
+    def recording_eig(a, *args, **kwargs):
+        seen.append(a.dtype)
+        return eig(a, *args, **kwargs)
+
+    monkeypatch.setattr(representations, "eig", recording_eig)
+    rng = np.random.default_rng(23)
+    general = build_general(HamiltonianCoeffs(
+        (1.0, 0.5, 1.0, 0.75, 0.5j, 0.0, 0.25, 0.25, 0.5 + 0.25j, 0.0)), 1.5)
+    for kind, dims in (("fock", 24), ("planar", (6, 8))):
+        rep = make_representation(kind, 1.5, dims)
+        for which in range(4):
+            diagonalize_classify(_pt5_member(rng, which, 1.5), rep)
+        assert seen == [np.float64] * 8
+        seen.clear()
+        diagonalize_classify(general, rep)
+        assert seen == [np.complex128] * 2
+        seen.clear()
+
+
+def test_real_and_complex_routes_agree_on_drawn_members():
+    # ill-conditioned edge eigenvalues sit at the 1e-6 stability threshold,
+    # where the last bits of eig decide a flag: a few may flip
+    rng = np.random.default_rng(24)
+    flags = flips = unpaired = 0
+    worst = 0.0
+    for k in range(240):
+        if k % 2:
+            theta = float(rng.uniform(0.2, 8.0))
+            rep = make_representation("fock", theta, int(rng.integers(20, 50)),
+                                      j0=float(rng.choice([0.0, 0.5, -2.0])))
+        else:
+            theta = float(rng.choice([-1, 1]) * rng.uniform(0.0, 6.0))
+            rep = make_representation("planar", theta,
+                                      tuple(int(d) for d in
+                                            rng.integers(5, 10, 2)))
+        p = _pt5_member(rng, k % 4, theta)
+        real, ref = diagonalize_classify(p, rep), _complex_route(p, rep)
+        if (real.verdict, real.pairs) != (ref.verdict, ref.pairs):
+            # complex eig left a converged nonreal eigenvalue without its
+            # conjugate, which the spectrum of a real matrix cannot have
+            assert (ref.verdict, ref.pairs, real.verdict) == (
+                "ConjugatePairs", 0, ALL_REAL)
+            unpaired += 1
+        flags += len(real.flags)
+        flips += sum(a != b for a, b in zip(real.flags, ref.flags))
+        a, b = np.array(real.eigenvalues), np.array(ref.eigenvalues)
+        for i, j in _greedy_match(a, b):
+            if real.flags[i] and ref.flags[j]:
+                worst = max(worst, abs(a[i] - b[j]) / (1 + abs(b[j])))
+    assert unpaired <= 2
+    assert flips <= 0.01 * flags
+    assert worst < 1e-5
