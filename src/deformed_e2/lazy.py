@@ -3,10 +3,10 @@
 Importing scipy.linalg and scipy.optimize takes most of the wall time of a
 fresh CLI process, and few runs need them: a fock or planar `spectrum`
 needs scipy.linalg for `eig`, and `verify` needs both.  `classify`, `ep`
-and `hermitize` need neither (the deformed mu3 root is polished by
-`models._brent`, the general-coeffs solver eliminates without an
-optimizer).  Each wrapper here imports the function it stands for when it
-is called, so a process pays only for what its command uses.
+and `hermitize` need neither (the deformed mu3 roots are eigenvalues from
+numpy, the general-coeffs solver eliminates without an optimizer).  Each
+wrapper here imports the function it stands for when it is called, so a
+process pays only for what its command uses.
 
 Callers bind a wrapper under the real name (``from .lazy import eig``), so
 ``models.minimize``, ``representations.eig`` and ``cli.ProcessPoolExecutor``

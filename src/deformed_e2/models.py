@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -156,7 +155,7 @@ class MuAbbrev:
 
 
 def _mu56(mu, ch, sh):
-    """(mu6 cosh - mu5 sinh)/(2 mu1 (1 + cosh)) of lambda, floats or arrays."""
+    """(mu6 cosh - mu5 sinh)/(2 mu1 (1 + cosh)) of lambda."""
     return (mu.mu6 * ch - mu.mu5 * sh) / (2 * mu.mu1 * (1 + ch))
 
 
@@ -166,9 +165,9 @@ class RegionVerdict:
 
     `witness` names the inequality (or ratio) that decided the verdict;
     margins are signed, positive when the corresponding condition holds.
-    In deformed general mode the second margin is qualitative: +1.0 when a
-    real lambda solving the mu3 condition exists, minus the smallest
-    constraint mismatch found when none does.
+    In deformed general mode the second margin is +1.0 when a real lambda
+    solves the mu3 condition, else minus the exact infimum over real lambda
+    of |mu3_deformed(mu, lambda, theta) - mu3|.
     """
 
     phase: str
@@ -332,21 +331,14 @@ def mu3_deformed(mu, lam, theta):
     mu3 = -mu24 coth(lam) + mu2 mu5/(2 mu1) - mu6/2 at theta = 0.
     The mu3 stored on `mu` is ignored (this is the equation for it).
     """
-    ab = MuAbbrev.from_mu(mu)
-    lam = float(lam)
+    return _mu3_deformed(mu, MuAbbrev.from_mu(mu), float(lam), theta)
+
+
+def _mu3_deformed(mu, ab, lam, theta):
+    """`mu3_deformed` given `ab = MuAbbrev.from_mu(mu)`."""
     ch, sh = math.cosh(lam), math.sinh(lam)
     if sh == 0:
         raise ValueError("lambda = 0 is singular in the (1+cosh)/sinh term")
-    return _mu3_from_hyperbolic(mu, ab, ch, sh, theta)
-
-
-def _mu3_from_hyperbolic(mu, ab, ch, sh, theta):
-    """`mu3_deformed` given `ab = MuAbbrev.from_mu(mu)` and cosh and sinh of
-    lambda, as floats or arrays.
-
-    Arrays go through the same operation order as floats, so each entry is
-    bitwise the scalar value.
-    """
     mu3_0 = -ab.mu24 * ch / sh + mu.mu2 * mu.mu5 / (2 * mu.mu1) - mu.mu6 / 2
     return mu3_0 + theta * 2 * _mu56(mu, ch, sh) * (
         ab.mu19 * (0.5 + ch) - ab.mu78 * sh - ab.mu68 * (1 + ch) / sh)
@@ -391,115 +383,82 @@ def _ratio_test(num, den):
     return abs(num) - abs(den), abs(abs(num / den) - 1) <= BOUNDARY_TOL
 
 
-# Search window for a real lambda solving the deformed mu3 condition: sign
-# changes of F(lam) = mu3_deformed(lam) - mu3 are bracketed on a symmetric
-# log grid and polished by `_brent`.
-_LAM_GRID = np.concatenate([
-    -np.logspace(math.log10(30.0), -6, 200),
-    np.logspace(-6, math.log10(30.0), 200),
-])
-# cosh/sinh of the grid from `math`, as `mu3_deformed` computes them (numpy's
-# can differ in the last ulp, which would move brackets and misses)
-_GRID_COSH = np.array([math.cosh(x) for x in _LAM_GRID])
-_GRID_SINH = np.array([math.sinh(x) for x in _LAM_GRID])
-# a bracket never spans lambda = 0, where F has a pole
-_GRID_SPLIT = (_LAM_GRID[:-1] < 0) & (_LAM_GRID[1:] > 0)
-
-# scipy.optimize.brentq's defaults
-_BRENT_RTOL = 4 * sys.float_info.epsilon
-_BRENT_MAXITER = 100
-
-
-def _brent(f, a, b, xtol):
-    """A root of f between a and b, where f(a) and f(b) differ in sign.
-
-    A port of scipy.optimize.brentq (R. P. Brent, Algorithms for
-    Minimization Without Derivatives, 1973, ch. 4) at its default rtol and
-    maxiter: the same float operations in the same order, so the same
-    iterates and root, bit for bit.  `test_brent_matches_scipy_brentq` in
-    tests/test_models.py pins that.  Raises ValueError on a NaN value of f
-    or on endpoints of one sign, and RuntimeError when it does not
-    converge, as brentq does.
-    """
-    def value(x):
-        fx = f(x)
-        if math.isnan(fx):
-            raise ValueError(f"The function value at x={x} is NaN; "
-                             "solver cannot continue.")
-        return fx
-
-    xpre, xcur = float(a), float(b)
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_BRENT_MAXITER):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        short = False  # else bisect
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
-            limit = 3 * abs(sbis) - delta
-            short = 2 * abs(stry) < (abs(spre) if abs(spre) < limit else limit)
-        spre, scur = (scur, stry) if short else (sbis, sbis)
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur)
-    raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} "
-                       f"iterations, value is {xcur:f}")
-
-
-def _mu3_grid_values(mu, ab, theta):
-    """F(lam) = mu3_deformed(mu, lam, theta) - mu3 at every _LAM_GRID point,
-    given `ab = MuAbbrev.from_mu(mu)`."""
-    with np.errstate(all="ignore"):
-        return (_mu3_from_hyperbolic(mu, ab, _GRID_COSH, _GRID_SINH, theta)
-                - mu.mu3)
+def _unit_roots(c):
+    """The real roots in (-1, 1) of sum c[k] t^k, ascending, by eigvals."""
+    while len(c) > 1 and c[-1] == 0:
+        c = c[:-1]
+    col = [-x / c[-1] for x in c[:-1]]
+    if not all(map(math.isfinite, col + c[-1:])):
+        raise ArithmeticError("non-finite mu3 condition coefficients")
+    if not col:
+        return []
+    comp = np.eye(len(col), k=-1)
+    comp[:, -1] = col
+    return sorted(z.real for z in np.linalg.eigvals(comp).tolist()
+                  if z.imag == 0 and -1 < z.real < 1)
 
 
 def _deformed_mu3_root(mu, ab, theta):
-    """(lam, min |F|) with lam a real root of the mu3 condition, or None.
+    """(lam, inf |F|), lam the most negative real root of F(lam) =
+    mu3_deformed(mu, lam, theta) - mu3, or None.  `ab` is MuAbbrev.from_mu.
 
-    The first grid interval (in grid order) holding a zero or a sign change
-    of F gives the root; otherwise min |F| runs over all finite intervals.
-    `ab` is `MuAbbrev.from_mu(mu)`.
+    In t = tanh(lam/2), 2 mu1 t (1 - t^2) F is P = (1 - t^2) A + L Q with
+    A = mu1 (2 mu23 t - mu24 (1 + t^2)), L = theta (mu6 (1 + t^2) - 2 mu5 t)
+    and Q = mu19 t^3/2 + (mu68 - 2 mu78) t^2 + 3 mu19 t/2 - mu68.  Dividing
+    out its exact factors t - 1, t + 1 (lam = +-inf) and t leaves R, with
+    F = -R t^e0 (t - 1)^e1 (t + 1)^e2 / (2 mu1).  Real lam are the t in
+    (-1, 1) but 0; with no root, inf |F| is over critical points and limits.
     """
-    vals = _mu3_grid_values(mu, ab, theta)
-    fa, fb = vals[:-1], vals[1:]
-    usable = np.isfinite(fa) & np.isfinite(fb) & ~_GRID_SPLIT
-    with np.errstate(all="ignore"):
-        hits = np.flatnonzero(usable & ((fa == 0) | (fa * fb < 0)))
-    if hits.size:
-        i = hits[0]
-        a, b = _LAM_GRID[i], _LAM_GRID[i + 1]
-        if fa[i] == 0:
-            return float(a), 0.0
+    a0, a1 = -mu.mu1 * ab.mu24, 2 * mu.mu1 * ab.mu23
+    g, h, c = theta * mu.mu6, -2 * theta * mu.mu5, ab.mu19 / 2
+    d = ab.mu68 - 2 * ab.mu78   # L = g + h t + g t^2, Q = -mu68 + 3c t + ...
+    r = [a0 - g * ab.mu68, a1 + 3 * g * c - h * ab.mu68,
+         3 * h * c - 2 * g * ab.mu78, -a1 + 4 * g * c + h * d,
+         -a0 + g * d + h * c, g * c]
+    noise = 8 * math.ulp(1.0) * ((abs(mu.mu5) + abs(mu.mu6)) ** 2 / abs(
+        4 * mu.mu1) + abs(mu.mu7) + abs(mu.mu8) + abs(mu.mu9))
+    e = [-1, -1, -1]
+    for i, s in ((1, 1.0), (2, -1.0)):
+        # t - s divides (1 - t^2) A once (thrice if mu23 = s mu24), L twice
+        # if mu6 = s mu5, Q once if mu78 = s mu19 up to their rounding noise
+        for _ in range(min(1 + 2 * (ab.mu23 == s * ab.mu24),
+                           2 * (mu.mu6 == s * mu.mu5)
+                           + (abs(ab.mu78 - s * ab.mu19) <= noise))):
+            q = [r[-1]]   # synthetic division; the remainder is rounding
+            for x in r[-2:0:-1]:
+                q.append(x + s * q[-1])
+            r, e[i] = q[::-1], e[i] + 1
+    while r and r[0] == 0:
+        r, e[0] = r[1:], e[0] + 1
+    if not r:  # F vanishes identically: every lam solves
+        return -1.0, 0.0
+    if roots := [t for t in _unit_roots(r) if t != 0]:
+        def f(x):
+            return _mu3_deformed(mu, ab, x, theta) - mu.mu3
 
-        def f(lam):  # mu3_deformed(mu, lam, theta) - mu3, bit for bit
-            return (_mu3_from_hyperbolic(mu, ab, math.cosh(lam),
-                                         math.sinh(lam), theta) - mu.mu3)
+        x = best = 2 * math.atanh(roots[0])
+        fx = f_best = f(x)
+        y = x + 1e-8 * max(1.0, abs(x))
+        for k in range(12):   # secant steps, clipped to 1, while |F| falls
+            fy = f(y)
+            if abs(fy) < abs(f_best):
+                best, f_best = y, fy
+            elif k or fy == fx:
+                break
+            x, fx, y = y, fy, y - min(1.0, max(-1.0, fy * (y - x) / (fy - fx)))
+        return best, 0.0
 
-        return _brent(f, a, b, xtol=1e-12), 0.0
-    miss = np.minimum(np.abs(fa), np.abs(fb))[usable].min(initial=math.inf)
-    return None, float(miss)
+    def f_of_t(t):
+        return (-sum(x * t ** k for k, x in enumerate(r)) * t ** e[0]
+                * (t - 1) ** e[1] * (t + 1) ** e[2] / (2 * mu.mu1))
+
+    # F' vanishes where R' T + R S does, T = t^3 - t, S = T sum e_s/(t - s)
+    rp = [0.0, 0.0] + r + [0.0, 0.0]
+    crit = [(k - 2 + sum(e)) * rp[k] + (e[1] - e[2]) * rp[k + 1]
+            - (e[0] + k) * rp[k + 2] for k in range(len(r) + 2)]
+    ts = _unit_roots(crit) + [s for s, k in zip((0.0, 1.0, -1.0), e) if k >= 0]
+    return None, min((abs(f_of_t(t)) for t in ts if t or e[0] >= 0),
+                     default=math.inf)
 
 
 def classify_region(mu, theta, mode="general"):
@@ -509,10 +468,11 @@ def classify_region(mu, theta, mode="general"):
     |mu23| >= |mu24|.  general mode, theta != 0: the first inequality is
     unchanged and the second is replaced by existence of a real lambda
     solving the deformed mu3 condition (checked exactly via the coth ratio
-    when mu5 = mu6 = 0, by bracketed root search otherwise).  special mode:
-    the single condition |coth ratio| > 1 of the special-choice family.
-    Boundary is returned when the deciding ratio sits within 1e-9 of 1, or
-    on zero-denominator degeneracies.
+    when mu5 = mu6 = 0, else by the real roots of a quintic in tanh(lambda/2),
+    all found up to |lambda| of about 35, where tanh(lambda/2) rounds to +-1).
+    special mode: the single condition |coth ratio| > 1 of the special-choice
+    family.  Boundary is returned when the deciding ratio sits within 1e-9 of
+    1 (the mu3 mismatch within 1e-9 of 0), or on zero denominators.
 
     A general-mode Symmetric verdict means both conditions hold separately,
     not that one real map solves both: at mu = (1, 0, 1, 2, 1, 1, 0.5, 0.5,

@@ -95,18 +95,28 @@ def test_overflowing_coefficients_exit_cleanly(command, fixed, theta, code,
 _OVERFLOWING_MU = ["--set", 'model="pt5-special"', "--set",
                    'fixed={"mu1": 1, "mu2": 0, "mu3": 1, "mu4": 2, '
                    '"mu5": 1e300, "mu6": 1, "mu8": 0}']
+# a deformed general member whose mu3-condition polynomial overflows
+_OVERFLOWING_GENERAL = ["--set", 'model="pt5-general"', "--set",
+                        'fixed={"mu1": 1, "mu2": 0, "mu3": 1, "mu4": 2, '
+                        '"mu5": 1e150, "mu6": 1, "mu7": 0, "mu8": 0, '
+                        '"mu9": 0}']
 
 
-@pytest.mark.parametrize("extra", [
-    ["classify", "--set", 'axes=[{"name": "theta", "min": 0, "max": 16, '
-                          '"steps": 3}]'],
-    ["ep", "--set", 'sweep={"name": "theta", "min": 0, "max": 16}',
-     "--set", "tol=1e-7"],
-    ["hermitize", "--set", "theta=12"],
-    ["spectrum", "--set", "theta=1"],
-], ids=lambda extra: extra[0])
-def test_overflowing_member_is_a_numeric_failure(extra, capsys):
-    assert cli.main(extra[:1] + _OVERFLOWING_MU + extra[1:]) == 3
+@pytest.mark.parametrize("argv", [
+    ["classify", *_OVERFLOWING_MU, "--set",
+     'axes=[{"name": "theta", "min": 0, "max": 16, "steps": 3}]'],
+    ["ep", *_OVERFLOWING_MU, "--set",
+     'sweep={"name": "theta", "min": 0, "max": 16}', "--set", "tol=1e-7"],
+    ["hermitize", *_OVERFLOWING_MU, "--set", "theta=12"],
+    ["spectrum", *_OVERFLOWING_MU, "--set", "theta=1"],
+    ["classify", *_OVERFLOWING_GENERAL, "--set",
+     'axes=[{"name": "theta", "min": 0.5, "max": 2, "steps": 3}]'],
+    ["ep", *_OVERFLOWING_GENERAL, "--set",
+     'sweep={"name": "theta", "min": 0.5, "max": 2}'],
+], ids=["classify", "ep", "hermitize", "spectrum", "general-classify",
+        "general-ep"])
+def test_overflowing_member_is_a_numeric_failure(argv, capsys):
+    assert cli.main(argv) == 3
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
     assert captured.err.startswith("numeric failure: ")

@@ -33,8 +33,8 @@ CASES = [("classify", "classify_mu3_sweep.csv"),
          ("spectrum", "spectrum_planar.json"),
          ("spectrum", "spectrum_general_coeffs.json")]
 # scipy modules a fresh run imports, per config: only the fock and planar
-# spectra reach `eig`; `classify_deformed_sweep` polishes 119 deformed mu3
-# roots in-package
+# spectra reach `eig`; `classify_deformed_sweep` finds its 119 deformed mu3
+# roots with numpy's `eigvals`
 FRESH_SCIPY = {golden: {"scipy.linalg"}
                for golden in ("spectrum_fock_pairs.json",
                               "spectrum_planar.json",
