@@ -647,20 +647,21 @@ def toy_spectrum(mu1, epsilon, n, convention="oracle"):
     raise ValueError(f"unknown convention {convention!r}")
 
 
-# The elimination solver's lam grid: |lam| <= ELIM_LAM_MAX, log-spaced toward
-# lam = 0 from both sides, with lam = 0 itself (the series branch) included.
-ELIM_LAM_MAX = 20.0
-_ELIM_GRID = np.concatenate([
-    -np.logspace(math.log10(ELIM_LAM_MAX), -6, 400), [0.0],
-    np.logspace(-6, math.log10(ELIM_LAM_MAX), 400),
-])
-# grid indices by increasing |lam|, the order that breaks ties
-_ELIM_BY_SIZE = np.argsort(np.abs(_ELIM_GRID), kind="stable")
-# the J, U^2, V^2 and UV residuals, jointly linear in (rho, tau) at c1 = 0
-_C1_ZERO_ROWS = [1, 6, 7, 8]
-# The UJ/VJ elimination moves (rho, tau) by about max(|c5|, |c6|)/|c1| per
-# unit of lam; past this ratio the c1 = 0 pass is tried first.
-_C1_SMALL = 1e4
+# The general-coeffs solver samples residual rows at Chebyshev nodes in
+# t = tanh(lam/2).  On either elimination curve the images are rational in
+# t with denominator 1 - t^2, so each row times (1 - t^2)^2 is a polynomial
+# in t, of degree 6 at most (the constant row; U and V 5; the others 4).
+_ANGLES = np.pi * (np.arange(12) + 0.5) / 12   # the nodes are t = cos(angle)
+_LAM_NODES = 2 * np.arctanh(np.cos(_ANGLES))
+# node values -> Chebyshev coefficients of (1 - t^2)^2 = sin^4 times them
+# (at its own nodes the Chebyshev-Vandermonde matrix inverts by cosines)
+_TO_CHEB = np.cos(np.outer(np.arange(12), _ANGLES)) * np.sin(_ANGLES) ** 4 / 6
+_TO_CHEB[0] /= 2
+_ROW_DEGREE = 8
+_ROUNDING = 1e-10   # rounding: a coefficient below this times a row's largest
+# x T_k in the Chebyshev basis: x T_0 = T_1, x T_k = (T_(k-1) + T_(k+1))/2
+_COLLEAGUE = 0.5 * (np.eye(_ROW_DEGREE, k=1) + np.eye(_ROW_DEGREE, k=-1))
+_COLLEAGUE[1, 0] = 1.0
 
 
 def _coeff_matrix(c):
@@ -729,13 +730,10 @@ def _c1_zero_solution(cmat0, theta):
     """
     def solve(lam):
         n = len(lam)
-        zero, one = np.zeros(n), np.ones(n)
-        r = _residual_rows(cmat0, theta, np.tile(lam, 3),
-                           np.concatenate([zero, one, zero]),
-                           np.concatenate([zero, zero, one]))
-        r = r[:, _C1_ZERO_ROWS]
-        b = r[:n]
-        a = np.stack([r[n:2 * n] - b, r[2 * n:] - b], axis=-1)
+        b, r_rho, r_tau = _residual_rows(
+            cmat0, theta, np.tile(lam, 3), np.repeat([0.0, 1.0, 0.0], n),
+            np.repeat([0.0, 0.0, 1.0], n))[:, [1, 6, 7, 8]].reshape(3, n, 4)
+        a = np.stack([r_rho - b, r_tau - b], axis=-1)
         bad = ~(np.isfinite(a).all(axis=(1, 2)) & np.isfinite(b).all(axis=1))
         a[bad], b[bad] = 0.0, 0.0
         x = -(np.linalg.pinv(a) @ b[:, :, None])[:, :, 0]
@@ -749,12 +747,12 @@ def _gauss_newton(cmat, theta, x):
 
     Returns the last iterate and its max-norm residual, from the same
     `_residual_rows` call that gives the step's finite differences.  Steps
-    go on while that residual keeps decreasing, at most six after x, so the
+    go on while that residual keeps decreasing, at most nine after x, so the
     last iterate is the best; they stop at a Jacobian that is not finite,
     where no nearby point can certify either.
     """
     best = (x, math.inf)
-    for _ in range(7):
+    for _ in range(10):
         h = 1e-7 * np.maximum(1.0, np.abs(x))
         pts = x + np.vstack([np.zeros(3), np.diag(h)])
         r = _residual_rows(cmat, theta, pts[:, 0], pts[:, 1], pts[:, 2])
@@ -772,81 +770,83 @@ def _gauss_newton(cmat, theta, x):
 def solve_generic_numeric(coeffs, theta):
     """Search real (lam, rho, tau) Hermitizing the given Hamiltonian.
 
-    Works for any of the invariant families (no tau = 0 assumption).  For a
-    fixed lam the UJ and VJ residuals are linear in (rho, tau), so with
-    c1 != 0 they fix (rho, tau) and the search is one-dimensional: all ten
-    residuals are evaluated on the `_ELIM_GRID` (|lam| <= ELIM_LAM_MAX, lam
-    = 0 included) in one vectorized pass.  The candidates are the grid
-    points where the 2-norm of the residuals has a local minimum, plus the
-    point of smallest max-norm residual, tried in order of max-norm
-    residual, smallest |lam| first among ties (so a Hermitian input gets
-    the identity map).  Each candidate is polished by Gauss-Newton steps in
-    (lam, rho, tau) on all ten residuals.
-
-    A second pass, for c1 = 0 and for the c1 -> 0 limit where that
-    elimination is ill-conditioned, solves the J, U^2, V^2 and UV rows for
-    (rho, tau) as if c1 were 0 and polishes against the true c1; it runs
-    when the first does not certify, or first when c1 is small (see
-    _C1_SMALL).  The J^2 residual is Im c1 for every map, so when
-    |Im c1| > CERT_TOL nothing can certify: the best grid point of the
-    first pass comes back, unpolished, with its grid residual.
+    Works for any of the invariant families (no tau = 0 assumption).  The
+    candidates are lam = 0 and the real roots, over all real lam, of the
+    residual rows along two elimination curves (`_candidate_maps`), ranked
+    by max-norm residual with ties to the smaller |lam| (so a Hermitian
+    input gets the identity map); the best three are polished by
+    Gauss-Newton steps in (lam, rho, tau) on all ten residuals.  The J^2
+    residual is Im c1 for every map: when |Im c1| > CERT_TOL nothing can
+    certify, and the identity map comes back unpolished.
 
     Every residual is a row of `_residual_rows`, the one evaluation route:
-    the first candidate whose polished max-norm residual is at most
-    CERT_TOL is returned (Symmetric phase), otherwise the polished point
-    with the smallest residual.  The independent route is the exp(ad)
-    oracle of `verify` and the benchmark check.  A failed search bounds the
-    search, no real map of this form with |lam| <= ELIM_LAM_MAX was found,
-    but it proves nothing about the phase.  The search is deterministic.
+    the first polished map whose max-norm residual is at most CERT_TOL is
+    returned (Symmetric phase), otherwise the map with the smallest
+    residual.  The independent route is the exp(ad) oracle of `verify` and
+    the benchmark check.  A failed search proves nothing about the phase.
     """
     c = np.array(coeffs.c, dtype=complex)
-    c1 = c[0]
     cmat = _coeff_matrix(c)
+    search = abs(c[0].imag) <= CERT_TOL
     with np.errstate(all="ignore"):
-        if abs(c1.imag) > CERT_TOL:
-            best = next(_candidates(cmat, theta, _uj_vj_solution(c)))
-        else:
-            cmat0 = _coeff_matrix(np.concatenate([[0.0], c[1:]]))
-            passes = [(cmat0, _c1_zero_solution(cmat0, theta))]
-            if c1 != 0:
-                passes.insert(0, (cmat, _uj_vj_solution(c)))
-                if abs(c1) < max(abs(c[4]), abs(c[5])) / _C1_SMALL:
-                    passes.reverse()
-            polished = (_gauss_newton(cmat, theta, x)
-                        for pass_cmat, solve in passes
-                        for x, _ in _candidates(pass_cmat, theta, solve))
-            best = (None, math.inf)
-            for found in polished:
-                if found[1] < best[1]:
-                    best = found
-                if best[1] <= CERT_TOL:
-                    break
+        maps = _candidate_maps(c, cmat, theta) if search else np.zeros((3, 1))
+        m = _max_abs(_residual_rows(cmat, theta, *maps))
+        best = (maps[:, 0], m[0])
+        for i in np.lexsort((np.abs(maps[0]), m))[:3 * search]:
+            found = _gauss_newton(cmat, theta, maps[:, i])
+            if found[1] <= best[1]:
+                best = found
+            if best[1] <= CERT_TOL:
+                break
     x, residual = best
     if not residual < math.inf:
-        raise ArithmeticError("residuals non-finite on the whole lam grid")
+        raise ArithmeticError("residuals non-finite at every candidate map")
     return DysonParams(float(x[0]), float(x[1]), float(x[2]), theta), residual
 
 
-def _candidates(cmat, theta, solve):
-    """Candidate maps (lam, rho, tau) of one elimination pass, best first.
-
-    `solve` gives (rho, tau) at each lam.  The candidates are the grid
-    points where the 2-norm of the ten residuals has a local minimum and
-    the point of smallest max-norm residual, ordered by max-norm residual
-    with ties to the smaller |lam|; each comes with that residual.
+def _candidate_maps(c, cmat, theta):
+    """Candidate maps (lam, rho, tau), shape (3, n), on both elimination
+    curves, each giving (rho, tau) at every lam: for c1 != 0 the UJ and VJ
+    rows fix them (`_uj_vj_solution`); at c1 = 0, and in the c1 -> 0 limit
+    where that is ill-conditioned, the J, U^2, V^2 and UV rows do, with c1
+    zeroed (`_c1_zero_solution`).  There the UJ and VJ rows are free of
+    (rho, tau) and sampled at rho = tau = 0; when c5 = c6 = 0 they vanish
+    and the U^2, V^2 and UV rows, then free of (rho, tau), stand in.
     """
-    lam = _ELIM_GRID
-    rho, tau = solve(lam)
-    r = _residual_rows(cmat, theta, lam, rho, tau)
-    m = _max_abs(r)
-    order = _ELIM_BY_SIZE[np.argsort(m[_ELIM_BY_SIZE], kind="stable")]
-    n = np.linalg.norm(r, axis=1)
-    pad = np.concatenate([[math.inf], n, [math.inf]])
-    # a plateau counts once, at its first point
-    keep = np.isfinite(n) & (n < pad[:-2]) & (n <= pad[2:])
-    keep[order[0]] = True
-    for i in order[keep[order]]:
-        yield np.array([lam[i], rho[i], tau[i]]), float(m[i])
+    cmat0 = _coeff_matrix(np.concatenate([[0.0], c[1:]]))
+    maps = []
+    if c[0] != 0:
+        solve = _uj_vj_solution(c)
+        maps.append(_curve_maps(solve, _residual_rows(
+            cmat, theta, _LAM_NODES, *solve(_LAM_NODES))))
+    rows = [4, 5] if c[4] or c[5] else [6, 7, 8]
+    maps.append(_curve_maps(_c1_zero_solution(cmat0, theta), _residual_rows(
+        cmat0, theta, _LAM_NODES, *np.zeros((2, _LAM_NODES.size)))[:, rows]))
+    return np.concatenate(maps, axis=1)
+
+
+def _curve_maps(solve, r):
+    """The maps at lam = 0 and at the real roots of the sampled rows `r`
+    (nodes by rows) that are polynomials in t: finite, not zero, and of
+    degree at most _ROW_DEGREE without their rounding coefficients.  The
+    roots are eigenvalues of the rows' colleague matrices, padded with
+    eigenvalues 2, from one `eigvals` call; `solve` gives (rho, tau).
+    """
+    coef = _TO_CHEB @ r
+    big = np.abs(coef) > _ROUNDING * np.max(np.abs(coef), axis=0)
+    # the last big coefficient; 11, past _ROW_DEGREE, where none is big
+    degree = len(coef) - 1 - np.argmax(big[::-1], axis=0)
+    mats = [2 * np.eye(_ROW_DEGREE)]   # all padding: the stack is never empty
+    for col, n in zip(coef.T, degree):
+        if 0 < n <= _ROW_DEGREE:
+            mats.append(2 * np.eye(_ROW_DEGREE))
+            mats[-1][:n, :n] = _COLLEAGUE[:n, :n]
+            # T_n = -sum_k col[k] T_k / col[n] in x T_(n-1)
+            mats[-1][:n, n - 1] -= col[:n] / (col[n] * min(n, 2))
+    t = np.linalg.eigvals(np.array(mats)).ravel()
+    t = t.real[(t.imag == 0) & (np.abs(t.real) < 1)]
+    lam = 2 * np.arctanh(np.append(0.0, t))
+    return np.array([lam, *solve(lam)])
 
 
 def solve_generic_multistart(coeffs, theta):

@@ -28,9 +28,9 @@ def test_uncertified_general_coeffs_search_is_unresolved(capsys):
                      "--set", "axes=" + json.dumps(axes)]) == 0
     row = capsys.readouterr().out.strip().split("\n")[-1].split(",")
     assert row[0] == "12.0" and row[5] == "Unresolved"
-    # CERT_TOL minus the smallest residual over the lam grid and its
-    # polished candidates (the old multistart's best was 0.518)
-    assert float(row[6]) == pytest.approx(-0.511, abs=1e-3)
+    # CERT_TOL minus the smallest residual of the candidate maps and their
+    # polish (an 801-point lam grid reached 0.511, the old multistart 0.518)
+    assert float(row[6]) == pytest.approx(-0.457, abs=1e-3)
 
 
 def test_planted_c1_zero_input_certifies(capsys):
@@ -45,7 +45,7 @@ def test_planted_c1_zero_input_certifies(capsys):
 
 
 def test_huge_coefficients_certify_without_warnings(capsys):
-    # the grid overflows away from lam = 0; the identity map is exact
+    # the samples overflow away from lam = 0; the identity map is exact
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert cli.main(["hermitize", "--set", 'model="general-coeffs"',
@@ -58,7 +58,8 @@ def test_huge_coefficients_certify_without_warnings(capsys):
 
 
 # general-coeffs inputs at the edge of the float range: the first leaves a
-# non-finite Gauss-Newton Jacobian, the second a non-finite lam grid
+# non-finite Gauss-Newton Jacobian, the second non-finite residuals at every
+# candidate map
 _OVERFLOWING = [
     ({"c1": 1.7e308, "c5": 1.7e308, "c6": -1.7e308, "c7": 1.7e308}, 1.0, 0),
     ({"c1": 1.0, "c9": 1.7e308}, 4.0, 3),
@@ -67,7 +68,7 @@ _OVERFLOWING = [
 
 @pytest.mark.parametrize("command", ["classify", "hermitize"])
 @pytest.mark.parametrize("fixed, theta, code", _OVERFLOWING,
-                         ids=["jacobian", "grid"])
+                         ids=["jacobian", "residuals"])
 def test_overflowing_coefficients_exit_cleanly(command, fixed, theta, code,
                                                capsys):
     argv = [command, "--set", 'model="general-coeffs"',

@@ -8,7 +8,7 @@ import pytest
 from scipy.optimize import brentq
 
 from deformed_e2 import hermiticity_residual, max_coeff_diff
-from deformed_e2 import OperatorPoly, algebra, dyson, models
+from deformed_e2 import OperatorPoly, algebra, cli, dyson, models
 from deformed_e2.dyson import SERIES_CUTOFF, DysonParams, adjoint_poly
 from deformed_e2.models import (
     BOUNDARY,
@@ -445,7 +445,7 @@ def test_solver_makes_no_engine_products(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a scalar or engine route was called")
     monkeypatch.setattr(algebra, "normal_order_product", forbidden)
-    # the scalar image evaluator: every residual comes from the grid rows
+    # the scalar image evaluator: every residual comes from the array rows
     monkeypatch.setattr(dyson, "_lam_functions", forbidden)
     for k, (coeffs, theta) in enumerate(cases):
         residual = solve_generic_numeric(coeffs, theta)[1]
@@ -508,13 +508,18 @@ def _planted_family(n):
 
 
 # planted c1 = c5 = c6 = 0 inputs, (theta, alphas, (lam, rho, tau)), whose
-# maps a search bracketing sign changes of single residuals missed
-# (best residuals 0.54 and 2.47)
+# maps a search bracketing sign changes of single residuals missed (best
+# residuals 0.54 and 2.47), and two that the local minima of an 801-point
+# lam grid missed (best residuals 3.6e-5 and 6.4e-4)
 _MISSED_BY_BRACKETS = [
     (-4.6, [0, 0, 1.35, 0.6, 0, 0, 1.15, 0.58, 1.63, -0.22],
      (1.66, -1.95, -0.23)),
     (-3.0, [0, 0.36, -1.0, 0.66, 0, 0, 0.29, 0.43, -0.76, -0.77],
      (1.14, -0.63, 1.93)),
+    (-2.06, [0, 0.82, 0.38, 1.17, 0, 0, -1.03, -1.55, 0.09, -0.55],
+     (0.85, 1.02, 1.38)),
+    (-4.18, [0, 0.39, 0.57, -0.04, 0, 0, 0.34, -0.62, 0.21, -0.82],
+     (1.85, 1.51, 1.15)),
 ]
 
 
@@ -533,7 +538,53 @@ def test_elimination_certifies_what_the_multistart_certifies():
             assert hermiticity_residual(conj) <= 1e-8 * max(
                 1.0, ham.max_abs_coeff())
         certified += residual <= CERT_TOL
-    assert certified == 202   # every input is planted, so a map exists
+    assert certified == 204   # every input is planted, so a map exists
+
+
+def test_curve_roots_of_every_degree():
+    # rows sampled from products over known roots, times (1 - t^2)^-2 as
+    # along the curves; a zero row and a row that is no polynomial of
+    # degree <= 8 in t add no root
+    t = np.cos(models._ANGLES)
+    noise = np.random.default_rng(4).standard_normal(len(t))
+    for degree in range(1, 9):
+        roots = 0.9 * np.cos(np.pi * (np.arange(degree) + 0.3) / degree)
+        rows = np.stack([np.prod(t[:, None] - roots, axis=1), 0 * t, noise],
+                        axis=1) / (1 - t * t)[:, None] ** 2
+        lam, rho, tau = models._curve_maps(lambda x: (x, -x), rows)
+        assert lam[0] == 0.0 and (rho == lam).all() and (tau == -lam).all()
+        assert np.sort(np.tanh(lam[1:] / 2)) == pytest.approx(
+            np.sort(roots), abs=1e-10)
+
+
+def _hard_family(n):
+    """Seeded planted inputs at the edges of the solver's range.
+
+    theta = 0 on every eleventh draw, else in [-5, 5]; alphas in [-2, 2];
+    c1 generic, 0, 1e-9, 1e-6, generic, generic by draw mod 6; c5 = c6 = 0
+    on every thirteenth; maps in [-s, s]^3 with s = 0.5, 2, 4 by draw mod 3,
+    and lam ~ 1e-6 on every seventh.
+    """
+    rng = np.random.default_rng(99)
+    for k in range(n):
+        theta = 0.0 if k % 11 == 0 else float(rng.uniform(-5.0, 5.0))
+        a = rng.uniform(-2.0, 2.0, 10)
+        a[0] = (a[0], 0.0, 1e-9, 1e-6, a[0], a[0])[k % 6]
+        if k % 13 == 0:
+            a[4] = a[5] = 0.0
+        s = (0.5, 2.0, 4.0)[k % 3]
+        lam, rho, tau = (float(x) for x in rng.uniform(-s, s, 3))
+        if k % 7 == 0:
+            lam *= 1e-6
+        yield _planted(a, theta, lam, rho, tau), theta
+
+
+def test_hard_family_certifies():
+    # every input is planted; the few misses sit at the rounding floor of
+    # CERT_TOL, which is absolute while the residuals grow with max |c|
+    certified = sum(solve_generic_numeric(coeffs, theta)[1] <= CERT_TOL
+                    for coeffs, theta in _hard_family(1500))
+    assert certified >= 1492, certified
 
 
 def test_elimination_never_calls_the_optimizers(monkeypatch):
@@ -545,9 +596,7 @@ def test_elimination_never_calls_the_optimizers(monkeypatch):
         assert solve_generic_numeric(coeffs, theta)[1] <= CERT_TOL
 
 
-def test_uncertifiable_real_c1_solves_stay_cheap(monkeypatch):
-    # random coefficients with real c1: both elimination passes run and
-    # every candidate is polished, yet no map certifies
+def _counting_residual_rows(monkeypatch):
     calls = []
     real = models._residual_rows
 
@@ -556,6 +605,13 @@ def test_uncertifiable_real_c1_solves_stay_cheap(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(models, "_residual_rows", counted)
+    return calls
+
+
+def test_uncertifiable_real_c1_solves_stay_cheap(monkeypatch):
+    # random coefficients with real c1: both elimination curves are sampled
+    # and the best three candidates polished, yet no map certifies
+    calls = _counting_residual_rows(monkeypatch)
     rng = np.random.default_rng(7)
     worst = 0
     for _ in range(30):
@@ -566,6 +622,20 @@ def test_uncertifiable_real_c1_solves_stay_cheap(monkeypatch):
         solve_generic_numeric(HamiltonianCoeffs(tuple(z)), theta)
         worst = max(worst, len(calls))
     assert worst <= 40, worst
+
+
+def test_complex_c1_is_unresolved_after_one_evaluation(monkeypatch):
+    # the J^2 residual is Im c1 for every map, so no search runs: the
+    # identity map comes back with its own residual
+    calls = _counting_residual_rows(monkeypatch)
+    rng = np.random.default_rng(3)
+    z = rng.uniform(-1.0, 1.0, 10) + 1j * rng.uniform(-1.0, 1.0, 10)
+    values = {f"c{k + 1}": x.real for k, x in enumerate(z)}
+    values.update({f"c{k + 1}_im": x.imag for k, x in enumerate(z)})
+    row = cli._classify_point(("general-coeffs", values, 0.9))
+    assert len(calls) == 1
+    assert row[1:6] == (0.0, 0.0, 0.0, 0.0, "Unresolved")
+    assert row[6] == CERT_TOL - np.max(np.abs(constraint_residuals(z, 0.9)))
 
 
 def _counting_least_squares(monkeypatch):
