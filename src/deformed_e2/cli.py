@@ -700,8 +700,7 @@ def main(argv=None):
     _add_config_flags(sp)
     sp.add_argument("--workers", "-w", type=int, default=1, metavar="N",
                     help="worker processes (default: 1, inline); on 2 "
-                         "cores a pool beat inline only on costly "
-                         "general-coeffs sweeps")
+                         "cores a pool beat inline on no measured sweep")
 
     sp = sub.add_parser("spectrum", help="diagonalize a family member in a "
                                          "truncated representation (JSON)")

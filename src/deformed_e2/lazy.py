@@ -1,15 +1,16 @@
 """Heavy dependencies, each imported on its first call.
 
 Importing scipy.linalg and scipy.optimize takes most of the wall time of a
-fresh CLI process, and few runs need them: a fock or planar `spectrum`
-needs scipy.linalg for `eig`, and `verify` needs both.  `classify`, `ep`
-and `hermitize` need neither (the deformed mu3 roots are eigenvalues from
-numpy, the general-coeffs solver eliminates without an optimizer).  Each
-wrapper here imports the function it stands for when it is called, so a
-process pays only for what its command uses.
+fresh CLI process, and no data command needs them: every eigenvalue comes
+from numpy's `eigvals` (spectra, the deformed mu3 roots, the colleague
+matrices of the general-coeffs solver).  scipy stands only behind the
+independent routes: `expm` for the exp(ad) oracle and `eta_matrix`, and
+`minimize`/`least_squares` for the multistart oracle, which `verify`
+runs.  Each wrapper here imports the function it stands for when it is
+called, so a process pays only for what its command uses.
 
-Callers bind a wrapper under the real name (``from .lazy import eig``), so
-``models.minimize``, ``representations.eig`` and ``cli.ProcessPoolExecutor``
+Callers bind a wrapper under the real name (``from .lazy import expm``),
+so ``models.minimize``, ``dyson.expm`` and ``cli.ProcessPoolExecutor``
 stay module attributes: a test or tracer that replaces one of them still
 catches every call.  A bare import inside the calling function would
 bypass such a replacement.
@@ -20,12 +21,6 @@ def expm(a):
     """scipy.linalg.expm."""
     from scipy.linalg import expm as f
     return f(a)
-
-
-def eig(a, *args, **kwargs):
-    """scipy.linalg.eig."""
-    from scipy.linalg import eig as f
-    return f(a, *args, **kwargs)
 
 
 def minimize(*args, **kwargs):

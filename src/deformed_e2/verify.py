@@ -30,7 +30,6 @@ from .algebra import (
     pt_invariance_check,
 )
 from .dyson import DysonParams, adjoint_generator_closed, adjoint_generator_oracle, adjoint_poly
-from .lazy import eig
 from .models import (
     BOUNDARY,
     BROKEN,
@@ -63,6 +62,7 @@ from .representations import (
     CONJUGATE_PAIRS,
     commutator_fidelity,
     diagonalize_classify,
+    eig,
     enlarged_representation,
     eta_matrix,
     generator_matrices,
@@ -669,8 +669,7 @@ def _real_gauge_route(fault):
         real = all(real_gauge(poly_to_matrix(p, r), r).dtype == np.float64
                    for r in reps)
         got = diagonalize_classify(p, rep, delta)
-        want = truncation_report(*(eig(poly_to_matrix(p, r), right=False)
-                                   for r in reps))
+        want = truncation_report(*(eig(poly_to_matrix(p, r)) for r in reps))
         same = (same and real and got.flags == want.flags
                 and (got.verdict, got.pairs) == (want.verdict, want.pairs))
         for a, b in zip(got.converged, want.converged):

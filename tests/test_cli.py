@@ -70,6 +70,41 @@ def test_classify_boundary_row_has_empty_cells(capsys):
     assert boundary[3] == "" and boundary[4] == ""     # no rho, tau
 
 
+def test_classify_toy_rows_follow_the_closed_forms(capsys):
+    # mu3 swept across |mu3/mu4| = 1: lambda = ln((mu3 + mu4)/(mu3 - mu4)),
+    # rho = lambda mu4 (x^2 - 1)/(2 mu1) with x = mu3/mu4, complex with
+    # Im lambda = pi on the broken side, no lambda at the two boundaries
+    mu1, mu4 = 1.5, 2.0
+    code, out = run(capsys, ["classify", "--set", 'model="toy"',
+                             "--set", f'fixed={{"mu1": {mu1}, "mu4": {mu4}}}',
+                             "--set", "theta=0.3",
+                             "--set", 'axes=[{"name": "mu3", "min": -5, '
+                                      '"max": 5, "steps": 11}]'])
+    assert code == 0
+    verdicts = []
+    for line in out.strip().split("\n")[1:]:
+        mu3_cell, theta, lam_re, lam_im, rho, tau, verdict, m1, m2 = (
+            line.split(","))
+        mu3, x = float(mu3_cell), float(mu3_cell) / mu4
+        verdicts.append(verdict)
+        assert theta == "0.3" and m2 == ""
+        assert float(m1) == pytest.approx(abs(x) - 1, abs=1e-15)
+        if abs(x) == 1:
+            assert verdict == "Boundary"
+            assert (lam_re, lam_im, rho, tau) == ("", "", "", "")
+            continue
+        lam = complex(math.log(abs((mu3 + mu4) / (mu3 - mu4))),
+                      0.0 if abs(x) > 1 else math.pi)
+        assert verdict == ("Symmetric" if abs(x) > 1 else "Broken")
+        assert complex(float(lam_re), float(lam_im)) == pytest.approx(
+            lam, rel=1e-14, abs=1e-15)
+        assert complex(rho) == pytest.approx(
+            lam * mu4 * (x * x - 1) / (2 * mu1), rel=1e-14, abs=1e-15)
+        assert float(tau) == 0.0
+    assert verdicts == (["Symmetric"] * 3 + ["Boundary"] + ["Broken"] * 3
+                        + ["Boundary"] + ["Symmetric"] * 3)
+
+
 def test_classify_deterministic_across_workers(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
@@ -268,6 +303,28 @@ def test_ep_worked_theta_family(capsys):
     assert doc["phase_low"] == "Broken"
     assert doc["phase_high"] == "Symmetric"
     assert doc["theta"] is None      # theta is the swept axis here
+
+
+def test_ep_stops_at_its_tolerance(capsys):
+    # with mu8 = 0.1 the special coth ratio
+    # (mu1 mu23 + theta mu5 mu68)/(mu1 mu24 + theta mu6 mu68) has numerator
+    # and denominator linear in theta; ratio = -1 at theta = 40/7, which no
+    # dyadic midpoint of [0, 16] hits, so bisection runs down to tol
+    mu = {"mu1": 1.0, "mu2": 0.0, "mu3": 1.0, "mu4": 2.0, "mu5": 1.0,
+          "mu6": 1.0, "mu8": 0.1}
+    tol = 1e-3
+    code, out = run(capsys, ["ep", "-c", "configs/ep_theta_sweep.json",
+                             "--set", "fixed=" + json.dumps(mu),
+                             "--set", f"tol={tol}"])
+    assert code == 0
+    mu23 = mu["mu2"] * mu["mu5"] / (2 * mu["mu1"]) - mu["mu6"] / 2 - mu["mu3"]
+    mu24 = mu["mu2"] * mu["mu6"] / (2 * mu["mu1"]) - mu["mu5"] / 2 - mu["mu4"]
+    mu68 = mu["mu6"] ** 2 / (4 * mu["mu1"]) + mu["mu8"]
+    root = -mu["mu1"] * (mu23 + mu24) / (mu68 * (mu["mu5"] + mu["mu6"]))
+    assert root == pytest.approx(40 / 7, rel=1e-15)
+    point = json.loads(out)["exceptional_point"]
+    # the midpoint of a final bracket no wider than tol that holds the root
+    assert abs(point - root) <= tol / 2
 
 
 def test_ep_bisection_through_mu1_zero_is_a_config_error(capsys):

@@ -101,6 +101,11 @@ _OVERFLOWING_GENERAL = ["--set", 'model="pt5-general"', "--set",
                         'fixed={"mu1": 1, "mu2": 0, "mu3": 1, "mu4": 2, '
                         '"mu5": 1e150, "mu6": 1, "mu7": 0, "mu8": 0, '
                         '"mu9": 0}']
+# a general member whose matrix overflows to inf and nan entries
+_OVERFLOWING_MATRIX = ["--set", 'model="pt5-general"', "--set",
+                       'fixed={"mu1": 1, "mu2": 0, "mu3": 1, "mu4": 2, '
+                       '"mu5": 1e300, "mu6": 1, "mu7": 1e308, "mu8": 1e308, '
+                       '"mu9": 0}']
 
 
 @pytest.mark.parametrize("argv", [
@@ -114,10 +119,13 @@ _OVERFLOWING_GENERAL = ["--set", 'model="pt5-general"', "--set",
      'axes=[{"name": "theta", "min": 0.5, "max": 2, "steps": 3}]'],
     ["ep", *_OVERFLOWING_GENERAL, "--set",
      'sweep={"name": "theta", "min": 0.5, "max": 2}'],
+    ["spectrum", *_OVERFLOWING_MATRIX, "--set", "theta=1"],
 ], ids=["classify", "ep", "hermitize", "spectrum", "general-classify",
-        "general-ep"])
+        "general-ep", "nonfinite-spectrum"])
 def test_overflowing_member_is_a_numeric_failure(argv, capsys):
-    assert cli.main(argv) == 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv) == 3
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
     assert captured.err.startswith("numeric failure: ")

@@ -423,8 +423,8 @@ def _pt5_member(rng, which, theta):
 def _complex_route(p, rep):
     """diagonalize_classify with every matrix handed to eig as complex."""
     big = enlarged_representation(rep)
-    return truncation_report(*(representations.eig(
-        poly_to_matrix(p, r), right=False) for r in (rep, big)))
+    return truncation_report(*(representations.eig(poly_to_matrix(p, r))
+                               for r in (rep, big)))
 
 
 @pytest.mark.parametrize("kind, theta, dims, j0", [
