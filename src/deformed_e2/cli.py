@@ -74,10 +74,6 @@ class ConfigError(Exception):
     """Bad config or flags; maps to exit code 2."""
 
 
-class NumericError(Exception):
-    """Representation build or numeric failure; maps to exit code 3."""
-
-
 _MU_NAMES = tuple(f"mu{k}" for k in range(1, 10))
 _COEFF_NAMES = tuple(f"c{k}" for k in range(1, 11))
 
@@ -357,10 +353,7 @@ def cmd_classify(cfg, workers):
         values = {**fixed, **dict(zip(axis_names, point))}
         payloads.append((model, values, values.get("theta", theta_fixed)))
 
-    try:
-        results = _run_pool(_classify_point, payloads, workers)
-    except (ValueError, ArithmeticError) as exc:
-        raise NumericError(str(exc))
+    results = _run_pool(_classify_point, payloads, workers)
 
     swept_cols = [n for n in axis_names if n != "theta"]
     buf = io.StringIO()
@@ -471,14 +464,9 @@ def cmd_spectrum(cfg):
         raise ConfigError('hamiltonian must be "H" or "h"')
     kind, dims, delta, j0 = _representation_from(cfg, model)
 
-    try:
-        poly, extras = _spectrum_operator(model, fixed, theta, which)
-        rep = make_representation(kind, theta, dims, j0=j0)
-        report = diagonalize_classify(poly, rep, delta=delta)
-    except BrokenPhaseError:
-        raise
-    except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
-        raise NumericError(str(exc))
+    poly, extras = _spectrum_operator(model, fixed, theta, which)
+    rep = make_representation(kind, theta, dims, j0=j0)
+    report = diagonalize_classify(poly, rep, delta=delta)
 
     params = {**fixed, "theta": theta, **extras}
     doc = {
@@ -547,10 +535,8 @@ def cmd_ep(cfg):
         lo_phase = classify_region(*family(lo), mode=mode).phase
         hi_phase = classify_region(*family(hi), mode=mode).phase
         point = find_exceptional_point(family, (lo, hi), mode=mode, tol=tol)
-    except ValueError as exc:
+    except ValueError as exc:  # both ends in one phase, or mu1 = 0 between
         raise ConfigError(str(exc))
-    except ArithmeticError as exc:
-        raise NumericError(str(exc))
     doc = {
         "model": model,
         "sweep": {"name": name, "min": lo, "max": hi},
@@ -584,61 +570,46 @@ def cmd_hermitize(cfg):
     theta = _number(cfg.get("theta", 0.0), "theta")
     values = _model_values(cfg, model, "hermitize")
 
-    try:
-        if model == "toy":
-            mu1 = values.get("mu1", 1.0)
-            mu4 = values.get("mu4", 0.0)
-            h, eps, shift = toy_model(mu1, mu4, lam=values.get("lam"),
-                                      theta=theta, mu3=values.get("mu3"))
-            lam = _toy_lam(values)
-            params = toy_dyson_params(mu1, mu4, lam, theta)
-            conj = adjoint_poly(params, build_pt5(toy_mu(mu1, mu4, lam),
-                                                  theta))
-            residual = hermiticity_residual(conj)
-            doc = {
-                "model": model,
-                "params": {**values, "theta": theta},
-                "dyson": _dyson_doc(params),
-                "residual": residual,
-                "h": _coeff_doc(conj),
-                "epsilon": eps,
-                "shift_engine": conj.coeff(0, 0, 0).real,
-                "shift_stated": shift,
-                "note": "h carries the engine scalar; shift_stated is the "
-                        "published closed form, kept for comparison",
-            }
-        elif model == "pt5-special":
-            mu = _mu_from_values(model, values)
-            solved = solve_pt5_special(mu, theta)
-            closed = hermitian_counterpart_pt5(mu, theta)
-            params = DysonParams(solved.lam.real, solved.rho.real, 0.0, theta)
-            conj = adjoint_poly(params, build_pt5(mu, theta))
-            doc = {
-                "model": model,
-                "params": {**values, "mu7": mu.mu7, "mu9": mu.mu9,
-                           "theta": theta},
-                "dyson": _dyson_doc(params),
-                "residual": hermiticity_residual(conj),
-                "h": _coeff_doc(closed),
-                "closed_vs_engine": max_coeff_diff(closed, conj),
-            }
-        else:  # general-coeffs
-            coeffs = _coeffs_from_values(values)
-            params, residual = solve_generic_numeric(coeffs, theta)
-            conj = adjoint_poly(params, build_general(coeffs, theta))
-            doc = {
-                "model": model,
-                "params": {**values, "theta": theta},
-                "dyson": _dyson_doc(params),
-                "residual": residual,
-                "h": _coeff_doc(conj),
-                "certified": bool(residual <= CERT_TOL),
-            }
-    except BrokenPhaseError:
-        raise
-    except (ValueError, ArithmeticError) as exc:
-        raise NumericError(str(exc))
-
+    echo = values
+    if model == "toy":
+        mu1, mu4 = values.get("mu1", 1.0), values.get("mu4", 0.0)
+        _, eps, shift = toy_model(mu1, mu4, lam=values.get("lam"),
+                                  theta=theta, mu3=values.get("mu3"))
+        lam = _toy_lam(values)
+        params = toy_dyson_params(mu1, mu4, lam, theta)
+        conj = adjoint_poly(params, build_pt5(toy_mu(mu1, mu4, lam), theta))
+        extra = {
+            "residual": hermiticity_residual(conj),
+            "h": _coeff_doc(conj),
+            "epsilon": eps,
+            "shift_engine": conj.coeff(0, 0, 0).real,
+            "shift_stated": shift,
+            "note": "h carries the engine scalar; shift_stated is the "
+                    "published closed form, kept for comparison",
+        }
+    elif model == "pt5-special":
+        mu = _mu_from_values(model, values)
+        solved = solve_pt5_special(mu, theta)
+        closed = hermitian_counterpart_pt5(mu, theta)
+        params = DysonParams(solved.lam.real, solved.rho.real, 0.0, theta)
+        conj = adjoint_poly(params, build_pt5(mu, theta))
+        echo = {**values, "mu7": mu.mu7, "mu9": mu.mu9}
+        extra = {
+            "residual": hermiticity_residual(conj),
+            "h": _coeff_doc(closed),
+            "closed_vs_engine": max_coeff_diff(closed, conj),
+        }
+    else:  # general-coeffs
+        coeffs = _coeffs_from_values(values)
+        params, residual = solve_generic_numeric(coeffs, theta)
+        conj = adjoint_poly(params, build_general(coeffs, theta))
+        extra = {
+            "residual": residual,
+            "h": _coeff_doc(conj),
+            "certified": bool(residual <= CERT_TOL),
+        }
+    doc = {"model": model, "params": {**echo, "theta": theta},
+           "dyson": _dyson_doc(params), **extra}
     _emit(_json_text(doc), cfg.get("output"))
     return 0
 
@@ -687,7 +658,7 @@ def _add_config_flags(sp):
                     help="output file (default: config output or stdout)")
 
 
-def main(argv=None):
+def _build_parser():
     parser = argparse.ArgumentParser(
         prog="deformed-e2",
         description="Scans, spectra and verification for the theta-deformed "
@@ -721,14 +692,26 @@ def main(argv=None):
                     help="inject a deliberate fault (self-test of the suite)")
     sp.add_argument("--json", metavar="PATH",
                     help="also write a JSON report")
+    return parser
 
-    args = parser.parse_args(argv)
+
+# built once per process: a build takes about as long as a small
+# in-process request, and every `main` call parses with the same one
+_PARSER = _build_parser()
+
+
+def main(argv=None):
+    args = _PARSER.parse_args(argv)
     try:
         if args.command == "verify":
             return cmd_verify(args.only, args.fault, args.json)
         cfg = _load_config(args.config, args.sets)
         if args.output:
             cfg["output"] = args.output
+        output = cfg.get("output")
+        if output is not None and not isinstance(output, str):
+            raise ConfigError(f"output must be a path string, got "
+                              f"{json.dumps(output)}")
         if args.command == "classify":
             return cmd_classify(cfg, args.workers)
         if args.command == "spectrum":
@@ -742,7 +725,8 @@ def main(argv=None):
     except BrokenPhaseError as exc:
         print(f"broken phase: {exc}", file=sys.stderr)
         return 3
-    except NumericError as exc:
+    except (ValueError, ArithmeticError) as exc:
+        # numpy's LinAlgError is a ValueError
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -266,6 +267,30 @@ def test_spectrum_toy_worked_values(capsys):
     assert byn[1]["paper"] == pytest.approx(4 * math.pi ** 2 - 0.6 * math.pi)
 
 
+def test_spectrum_toy_H_carries_the_engine_scalar(capsys):
+    # H itself, not h, on fock: its converged eigenvalues are mu1 n^2 + eps n
+    # plus the scalar that hermitize's engine conjugation prints (-0.1775),
+    # not the stated closed-form shift (-0.17)
+    code, out = run(capsys, ["hermitize", "--set", 'model="toy"',
+                             "--set", "theta=0.1", "--set",
+                             'fixed={"mu1": 1.0, "mu4": 1.0, "mu3": 2.0}'])
+    assert code == 0
+    shift = json.loads(out)["shift_engine"]
+    assert shift == pytest.approx(-0.1775, abs=1e-12)
+    code, out = run(capsys, ["spectrum", "-c", "configs/spectrum_toy.json",
+                             "--set", 'hamiltonian="H"', "--set",
+                             'representation={"kind": "fock", "dims": 40}'])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["verdict"] == "AllReal"
+    eps = doc["params"]["epsilon"]
+    converged = [e for e in doc["eigenvalues"] if e["converged"]]
+    assert len(converged) == 30 and all(e["im"] == 0.0 for e in converged)
+    got = sorted(e["re"] for e in converged)
+    assert got == pytest.approx([n * n + eps * n + shift for n in range(30)],
+                                rel=1e-6)
+
+
 def test_spectrum_fock_conjugate_pairs(capsys):
     code, out = run(capsys, ["spectrum", "-c",
                              "configs/spectrum_fock_pairs.json"])
@@ -495,3 +520,119 @@ def test_integer_beyond_float_range_is_a_config_error(capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "theta must be finite" in captured.err
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    def no_parser(*args, **kwargs):
+        raise AssertionError("a parser was built")
+    monkeypatch.setattr(argparse, "ArgumentParser", no_parser)
+    for argv in (["hermitize", "-c", "configs/hermitize_special.json"],
+                 ["ep", "-c", "configs/ep_theta_sweep.json"],
+                 ["hermitize", "-c", "configs/hermitize_special.json"]):
+        assert cli.main(argv) == 0
+    assert cli.main(["classify", "-c", THETA_SWEEP, "--workers", "0"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["no-such-command"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("value", ["true", "2", "[1]", '{"a": 1}'])
+def test_output_key_must_be_a_path(value, capsys, monkeypatch):
+    """A non-string `output` used to open a file descriptor (fd 1 for
+    true, closing the caller's stdout) or end in a traceback."""
+    def no_point(*args, **kwargs):
+        raise AssertionError("a point was computed")
+    for name in ("classify_region", "find_exceptional_point"):
+        monkeypatch.setattr(cli, name, no_point)
+    code = cli.main(["ep", "-c", "configs/ep_theta_sweep.json",
+                     "--set", f"output={value}"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("config error: output must be a path string, "
+                            f"got {value}\n")
+
+
+@pytest.mark.parametrize("value", ['""', "null"])
+def test_empty_or_null_output_means_stdout(value, capsys):
+    code, out = run(capsys, ["hermitize", "-c",
+                             "configs/hermitize_special.json",
+                             "--set", f"output={value}"])
+    assert code == 0 and json.loads(out)["model"] == "pt5-special"
+
+
+_EP = "configs/ep_theta_sweep.json"
+_FOCK = "configs/spectrum_fock_pairs.json"
+_AXIS = '{"name": "mu3", "min": 0, "max": 1, "steps": 2}'
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["classify", "-c", "{tmp}/bad.json"],
+     "config error: config {tmp}/bad.json is not valid JSON: Expecting "
+     "property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    (["classify", "-c", "{tmp}/list.json"],
+     "config error: config root must be a JSON object"),
+    (["classify", "-c", MU3_SWEEP, "--set", "axes"],
+     "config error: --set needs KEY=VALUE, got 'axes'"),
+    (["classify", "-c", MU3_SWEEP, "--set", "axes.x.steps=5"],
+     "config error: --set 'axes.x.steps=5': 'x' is not a list index"),
+    (["classify", "-c", MU3_SWEEP, "--set", "axes.3.steps=5"],
+     "config error: --set 'axes.3.steps=5': index 3 out of range"),
+    (["classify", "-c", MU3_SWEEP, "--set", "theta.x=1"],
+     "config error: --set 'theta.x=1': cannot descend into float"),
+    (["classify", "-c", MU3_SWEEP, "--set", 'theta="a"'],
+     "config error: theta must be a number, got 'a'"),
+    (["classify", "-c", MU3_SWEEP, "--set", "fixed=1"],
+     "config error: fixed must be a name -> value object"),
+    (["classify", "-c", MU3_SWEEP, "--set", "axes=1"],
+     "config error: axes must be a list of one or two sweeps"),
+    (["classify", "-c", MU3_SWEEP, "--set", "axes=[1]"],
+     "config error: axes[0] must be an object"),
+    (["classify", "-c", MU3_SWEEP, "--set", 'axes.0.name="mu77"'],
+     "config error: axes[0].name 'mu77' is not sweepable for model "
+     "pt5-general"),
+    (["classify", "-c", MU3_SWEEP, "--set", f"axes=[{_AXIS}, {_AXIS}]"],
+     "config error: duplicate sweep axis 'mu3'"),
+    (["spectrum", "-c", _FOCK, "--set", "representation=1"],
+     "config error: representation must be an object"),
+    (["spectrum", "-c", _FOCK,
+      "--set", 'representation={"kind": "x", "dims": 3}'],
+     "config error: representation.kind must be fock, planar or circle, "
+     "got 'x'"),
+    (["spectrum", "-c", _FOCK, "--set", "representation.delta=0"],
+     "config error: representation.delta must be a positive integer"),
+    (["spectrum", "-c", "configs/spectrum_general_coeffs.json",
+      "--set", 'hamiltonian="h"'],
+     'config error: hamiltonian must be "H" for general-coeffs'),
+    (["spectrum", "-c", _FOCK, "--set", 'hamiltonian="h"'],
+     'config error: hamiltonian "h" needs model pt5-special or toy'),
+    (["spectrum", "-c", _FOCK, "--set", 'hamiltonian="x"'],
+     'config error: hamiltonian must be "H" or "h"'),
+    (["ep", "-c", _EP, "--set", "sweep=1"],
+     "config error: sweep must be an object {name, min, max}"),
+    (["ep", "-c", _EP, "--set", 'sweep.name="mu77"'],
+     "config error: sweep.name 'mu77' is not valid for pt5-special"),
+    (["verify", "--only", ","], "config error: --only got no suite names"),
+    (["verify", "--only", "nosuch"],
+     "config error: unknown suite 'nosuch'; known: ('algebra', 'adjoint', "
+     "'constraints', 'pt5', 'toy', 'spectral')"),
+    (["hermitize", "-c", "configs/hermitize_special.json",
+      "-o", "{tmp}/missing/out.json"],
+     "io error: [Errno 2] No such file or directory: "
+     "'{tmp}/missing/out.json'"),
+], ids=["invalid-json", "root-not-object", "set-without-equals",
+        "set-list-index", "set-index-range", "set-into-scalar", "not-a-number",
+        "fixed-not-object", "axes-not-list", "axis-not-object",
+        "axis-not-sweepable", "axis-duplicate", "representation-not-object",
+        "representation-kind", "representation-delta", "general-coeffs-h",
+        "pt5-general-h", "hamiltonian-neither", "sweep-not-object",
+        "sweep-name", "verify-no-names", "verify-unknown-suite",
+        "output-missing-directory"])
+def test_input_errors_exit_2(argv, err, tmp_path, capsys):
+    (tmp_path / "bad.json").write_text("{")
+    (tmp_path / "list.json").write_text("[1]")
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == err.replace("{tmp}", str(tmp_path)) + "\n"
