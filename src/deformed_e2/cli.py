@@ -11,8 +11,6 @@ representation failure.
 """
 
 import argparse
-import csv
-import io
 import itertools
 import json
 import math
@@ -37,22 +35,20 @@ from .algebra import OperatorPoly, hermiticity_residual, max_coeff_diff
 from .dyson import DysonParams, adjoint_poly
 from .lazy import ProcessPoolExecutor
 from .models import (
-    BOUNDARY,
-    BROKEN,
+    BLOCK_POINTS,
     BOUNDARY_TOL,
     CERT_TOL,
-    SYMMETRIC,
-    UNRESOLVED,
+    MU_NAMES,
     BrokenPhaseError,
-    HamiltonianCoeffs,
     Mu,
     build_general,
     build_pt5,
+    classify_points,
     classify_region,
+    coeffs_from_values,
     extract_coeffs,
     find_exceptional_point,
     hermitian_counterpart_pt5,
-    rho_of_lambda,
     solve_generic_numeric,
     solve_pt5_special,
     toy_dyson_params,
@@ -74,12 +70,11 @@ class ConfigError(Exception):
     """Bad config or flags; maps to exit code 2."""
 
 
-_MU_NAMES = tuple(f"mu{k}" for k in range(1, 10))
 _COEFF_NAMES = tuple(f"c{k}" for k in range(1, 11))
 
 # parameter names each model accepts in `fixed` and as sweep axes
 _MODEL_PARAMS = {
-    "pt5-general": _MU_NAMES,
+    "pt5-general": MU_NAMES,
     "pt5-special": ("mu1", "mu2", "mu3", "mu4", "mu5", "mu6", "mu8"),
     "toy": ("mu1", "mu3", "mu4"),
     "general-coeffs": _COEFF_NAMES + tuple(f"{c}_im" for c in _COEFF_NAMES),
@@ -182,7 +177,8 @@ def _model_values(cfg, model, command, swept=None):
     """The checked `fixed` values of a data command's model.
 
     Every name must be one the model allows (toy spectrum and hermitize
-    also take lam, and exactly one of lam and mu3) and every number finite.
+    also take lam, and exactly one of lam and mu3: a lam nonzero, a mu3
+    with a nonzero mu4) and every number finite.
     The PT5 and toy formulas divide by mu1, so it must be given, fixed or
     swept, and nonzero; toy spectrum and hermitize default it to 1, and
     spectrum of a pt5-general member divides by nothing and accepts 0.
@@ -207,6 +203,11 @@ def _model_values(cfg, model, command, swept=None):
     if toy_lam and ("lam" in values) == ("mu3" in values):
         raise ConfigError("toy model needs exactly one of fixed.lam, "
                           "fixed.mu3")
+    if toy_lam and values.get("lam") == 0:
+        raise ConfigError("toy lam must be nonzero")
+    if toy_lam and "mu3" in values and values.get("mu4", 0.0) == 0:
+        raise ConfigError("toy mu3 needs a nonzero mu4: "
+                          "lam = 2 arccoth(mu3/mu4)")
     if model == "general-coeffs":
         return values
     mu1s = [values["mu1"]] if "mu1" in values else list(swept.get("mu1", ()))
@@ -256,25 +257,21 @@ def _axes(cfg, model):
             for name, lo, hi, steps in sweeps]
 
 
-def _coeffs_from_values(values):
-    c = []
-    for name in _COEFF_NAMES:
-        c.append(complex(values.get(name, 0.0), values.get(f"{name}_im", 0.0)))
-    return HamiltonianCoeffs(tuple(c))
-
-
 def _mu_from_values(model, values):
-    mu = Mu(**{k: v for k, v in values.items() if k in _MU_NAMES})
+    mu = Mu(*(values.get(k, 0.0) for k in MU_NAMES))
     return with_special_choice(mu) if model == "pt5-special" else mu
 
 
 def _emit(text, output):
+    """Write `text`, a string or an iterable of strings, to the output."""
+    if isinstance(text, str):
+        text = (text,)
     if output:
         with open(output, "w", newline="") as f:
-            f.write(text)
+            f.writelines(text)
         print(f"wrote {output}", file=sys.stderr)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(text)
 
 
 def _json_text(obj):
@@ -298,41 +295,14 @@ def _cell(x):
 
 
 def _classify_point(payload):
-    """One grid point -> raw result cells. Top level for pickling."""
-    model, values, theta = payload
-    if model == "toy":
-        return _classify_toy(values, theta)
-    if model == "general-coeffs":
-        coeffs = _coeffs_from_values(values)
-        params, residual = solve_generic_numeric(coeffs, theta)
-        # a failed search is no proof of the broken phase
-        phase = SYMMETRIC if residual <= CERT_TOL else UNRESOLVED
-        # margin: distance of the certificate residual from its threshold
-        return (theta, params.lam.real, params.lam.imag, params.rho,
-                params.tau, phase, CERT_TOL - residual, None)
-    mode = "special" if model == "pt5-special" else "general"
-    mu = _mu_from_values(model, values)
-    verdict = classify_region(mu, theta, mode=mode)
-    lam = verdict.lam
-    rho = rho_of_lambda(mu, lam) if lam is not None else None
-    tau = 0.0 if lam is not None else None
-    lam_re = lam.real if lam is not None else None
-    lam_im = lam.imag if lam is not None else None
-    return (theta, lam_re, lam_im, rho, tau, verdict.phase,
-            verdict.margin1, verdict.margin2)
+    """(model, block) -> one CSV line of result cells per grid point of the
+    block, without the swept columns.
 
-
-def _classify_toy(values, theta):
-    mu1 = values["mu1"]
-    mu3 = values.get("mu3", 0.0)
-    mu4 = values.get("mu4", 0.0)
-    margin = abs(mu3 / mu4) - 1 if mu4 != 0 else math.nan
-    if mu4 == 0 or abs(margin) <= BOUNDARY_TOL:
-        return (theta, None, None, None, None, BOUNDARY, margin, None)
-    params = toy_dyson_params(mu1, mu4, toy_lambda(mu3, mu4), theta)
-    phase = SYMMETRIC if margin > 0 else BROKEN
-    return (theta, params.lam.real, params.lam.imag, params.rho, params.tau,
-            phase, margin, None)
+    The task the pool maps, one block at a time; top level for pickling.
+    No cell holds a comma, a quote or a line break, so the lines need no
+    CSV quoting.
+    """
+    return [",".join(map(_cell, cells)) for cells in classify_points(*payload)]
 
 
 def cmd_classify(cfg, workers):
@@ -343,27 +313,29 @@ def cmd_classify(cfg, workers):
     axes = _axes(cfg, model)
     fixed = _model_values(cfg, model, "classify", dict(axes))
     axis_names = [name for name, _ in axes]
-    theta_fixed = None
     if "theta" not in axis_names:
-        theta_fixed = _number(cfg.get("theta", 0.0), "theta")
+        fixed["theta"] = _number(cfg.get("theta", 0.0), "theta")
 
     # row-major grid: first axis is the outer loop
-    payloads = []
-    for point in itertools.product(*(vals for _, vals in axes)):
-        values = {**fixed, **dict(zip(axis_names, point))}
-        payloads.append((model, values, values.get("theta", theta_fixed)))
+    grid = itertools.product(*(vals for _, vals in axes))
+    points = [{**fixed, **dict(zip(axis_names, point))} for point in grid]
+    # blocks of at most BLOCK_POINTS, and at least one per worker
+    size = min(BLOCK_POINTS, -(-len(points) // workers))
+    blocks = [(model, points[i:i + size])
+              for i in range(0, len(points), size)]
+    results = _run_pool(_classify_point, blocks, workers)
 
-    results = _run_pool(_classify_point, payloads, workers)
-
-    swept_cols = [n for n in axis_names if n != "theta"]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(swept_cols + list(_CSV_FIELDS))
-    for cells, (_, values, _) in zip(results, payloads):
-        row = [_cell(values[n]) for n in swept_cols]
-        row += [_cell(x) for x in cells]
-        writer.writerow(row)
-    _emit(buf.getvalue(), cfg.get("output"))
+    # each swept value is formatted once, then repeated in grid order;
+    # theta has its own column among the result cells
+    swept = [[[] if name == "theta" else [_cell(v)] for v in vals]
+             for name, vals in axes]
+    header = [name for name in axis_names if name != "theta"]
+    lines = itertools.chain(
+        [",".join(header + list(_CSV_FIELDS)) + "\n"],
+        (",".join([*itertools.chain(*prefix), line]) + "\n"
+         for prefix, line in zip(itertools.product(*swept),
+                                 itertools.chain(*results))))
+    _emit(lines, cfg.get("output"))
     return 0
 
 
@@ -444,7 +416,7 @@ def _spectrum_operator(model, values, theta, which):
     if model == "general-coeffs":
         if which != "H":
             raise ConfigError("hamiltonian must be \"H\" for general-coeffs")
-        return build_general(_coeffs_from_values(values), theta), extras
+        return build_general(coeffs_from_values(values), theta), extras
     mu = _mu_from_values(model, values)
     if which == "H":
         return build_pt5(mu, theta), extras
@@ -600,7 +572,7 @@ def cmd_hermitize(cfg):
             "closed_vs_engine": max_coeff_diff(closed, conj),
         }
     else:  # general-coeffs
-        coeffs = _coeffs_from_values(values)
+        coeffs = coeffs_from_values(values)
         params, residual = solve_generic_numeric(coeffs, theta)
         conj = adjoint_poly(params, build_general(coeffs, theta))
         extra = {

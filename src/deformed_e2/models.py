@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,6 +98,9 @@ class HamiltonianCoeffs:
         return self.c[j - 1]
 
 
+MU_NAMES = tuple(f"mu{k}" for k in range(1, 10))
+
+
 @dataclass(frozen=True)
 class Mu:
     """Real parameters mu_1..mu_9 of the PT5-invariant family."""
@@ -143,15 +146,38 @@ class MuAbbrev:
 
     @classmethod
     def from_mu(cls, mu):
-        if mu.mu1 == 0:
+        """The abbreviations of `mu`, whose fields are floats or, for a
+        block of members, float64 columns of one length."""
+        mu1 = mu.mu1
+        if (mu1 == 0).any() if isinstance(mu1, np.ndarray) else mu1 == 0:
             raise ValueError("mu1 must be nonzero")
+        sq5, sq6 = _pow2(mu.mu5), _pow2(mu.mu6)
         return cls(
-            mu78=(mu.mu5 ** 2 + mu.mu6 ** 2) / (4 * mu.mu1) - mu.mu7 + mu.mu8,
-            mu19=mu.mu5 * mu.mu6 / (2 * mu.mu1) - mu.mu9,
-            mu23=mu.mu2 * mu.mu5 / (2 * mu.mu1) - mu.mu6 / 2 - mu.mu3,
-            mu24=mu.mu2 * mu.mu6 / (2 * mu.mu1) - mu.mu5 / 2 - mu.mu4,
-            mu68=mu.mu6 ** 2 / (4 * mu.mu1) + mu.mu8,
+            (sq5 + sq6) / (4 * mu.mu1) - mu.mu7 + mu.mu8,        # mu78
+            mu.mu5 * mu.mu6 / (2 * mu.mu1) - mu.mu9,             # mu19
+            mu.mu2 * mu.mu5 / (2 * mu.mu1) - mu.mu6 / 2 - mu.mu3,  # mu23
+            mu.mu2 * mu.mu6 / (2 * mu.mu1) - mu.mu5 / 2 - mu.mu4,  # mu24
+            sq6 / (4 * mu.mu1) + mu.mu8,                         # mu68
         )
+
+
+def _rows(*xs):
+    """Per-point tuples of floats from a block's float64 columns, or the
+    one tuple of the floats of one point."""
+    if isinstance(xs[0], np.ndarray):
+        return list(zip(*(x.tolist() for x in xs)))
+    return [xs]
+
+
+def _pow2(x):
+    """x ** 2 by Python's float pow, value by value on a float64 column.
+
+    numpy squares by x * x, which rounds differently from pow on about 9
+    in 10,000 values, and only pow raises OverflowError past the float range.
+    """
+    if isinstance(x, np.ndarray):
+        return np.array([v ** 2 for v in x.tolist()])
+    return x ** 2
 
 
 def _mu56(mu, ch, sh):
@@ -189,7 +215,8 @@ def with_special_choice(mu):
     """Fix mu7 and mu9 so the coth(2 lambda) constraint drops out."""
     if mu.mu1 == 0:
         raise ValueError("mu1 must be nonzero")
-    return replace(mu, mu7=special_mu7(mu), mu9=special_mu9(mu))
+    return Mu(mu.mu1, mu.mu2, mu.mu3, mu.mu4, mu.mu5, mu.mu6,
+              special_mu7(mu), mu.mu8, special_mu9(mu))
 
 
 def build_general(coeffs, theta):
@@ -278,13 +305,18 @@ def _coth(z):
 
 def rho_of_lambda(mu, lam):
     """rho = lam (mu5 - mu6 coth lam)/(2 mu1), continued through lam = 0."""
+    return _rho(mu.mu1, mu.mu5, mu.mu6, lam)
+
+
+def _rho(mu1, mu5, mu6, lam):
+    """`rho_of_lambda` of the member with these mu1, mu5 and mu6."""
     lam = complex(lam)
     if abs(lam) < 1e-4:
         # lam*coth(lam) = 1 + lam^2/3 - lam^4/45 + ...
         lc = 1 + lam * lam / 3 - lam ** 4 / 45
     else:
         lc = lam * _coth(lam)
-    return (lam * mu.mu5 - mu.mu6 * lc) / (2 * mu.mu1)
+    return (lam * mu5 - mu6 * lc) / (2 * mu1)
 
 
 def solve_pt5_undeformed(mu):
@@ -383,32 +415,38 @@ def _ratio_test(num, den):
     return abs(num) - abs(den), abs(abs(num / den) - 1) <= BOUNDARY_TOL
 
 
-def _unit_roots(c):
-    """The real roots in (-1, 1) of sum c[k] t^k, ascending, by eigvals."""
-    while len(c) > 1 and c[-1] == 0:
-        c = c[:-1]
-    col = [-x / c[-1] for x in c[:-1]]
-    if not all(map(math.isfinite, col + c[-1:])):
-        raise ArithmeticError("non-finite mu3 condition coefficients")
-    if not col:
-        return []
-    comp = np.eye(len(col), k=-1)
-    comp[:, -1] = col
-    return sorted(z.real for z in np.linalg.eigvals(comp).tolist()
-                  if z.imag == 0 and -1 < z.real < 1)
+def _unit_roots(polys):
+    """The real roots in (-1, 1) of each polynomial sum c[k] t^k, ascending.
 
-
-def _deformed_mu3_root(mu, ab, theta):
-    """(lam, inf |F|), lam the most negative real root of F(lam) =
-    mu3_deformed(mu, lam, theta) - mu3, or None.  `ab` is MuAbbrev.from_mu.
-
-    In t = tanh(lam/2), 2 mu1 t (1 - t^2) F is P = (1 - t^2) A + L Q with
-    A = mu1 (2 mu23 t - mu24 (1 + t^2)), L = theta (mu6 (1 + t^2) - 2 mu5 t)
-    and Q = mu19 t^3/2 + (mu68 - 2 mu78) t^2 + 3 mu19 t/2 - mu68.  Dividing
-    out its exact factors t - 1, t + 1 (lam = +-inf) and t leaves R, with
-    F = -R t^e0 (t - 1)^e1 (t + 1)^e2 / (2 mu1).  Real lam are the t in
-    (-1, 1) but 0; with no root, inf |F| is over critical points and limits.
+    The companion matrices are stacked by size, one `eigvals` call per
+    size; a matrix in a stack gets the same eigenvalues, bit for bit, as
+    one on its own.
     """
+    cols = []
+    for c in polys:
+        while len(c) > 1 and c[-1] == 0:
+            c = c[:-1]
+        col = [-x / c[-1] for x in c[:-1]]
+        if not all(map(math.isfinite, col + c[-1:])):
+            raise ArithmeticError("non-finite mu3 condition coefficients")
+        cols.append(col)
+    sizes = {}
+    for i, col in enumerate(cols):
+        if col:
+            sizes.setdefault(len(col), []).append(i)
+    roots = [[] for _ in cols]
+    for n, idx in sizes.items():
+        comp = np.zeros((len(idx), n, n))
+        comp[:, 1:, :-1] = np.eye(n - 1)
+        comp[:, :, -1] = [cols[i] for i in idx]
+        for i, z in zip(idx, np.linalg.eigvals(comp).tolist()):
+            roots[i] = sorted(w.real for w in z
+                              if w.imag == 0 and -1 < w.real < 1)
+    return roots
+
+
+def _mu3_quintic(mu, ab, theta):
+    """(R, e) of the deformed mu3 condition (see `_deformed_mu3_roots`)."""
     a0, a1 = -mu.mu1 * ab.mu24, 2 * mu.mu1 * ab.mu23
     g, h, c = theta * mu.mu6, -2 * theta * mu.mu5, ab.mu19 / 2
     d = ab.mu68 - 2 * ab.mu78   # L = g + h t + g t^2, Q = -mu68 + 3c t + ...
@@ -430,35 +468,148 @@ def _deformed_mu3_root(mu, ab, theta):
             r, e[i] = q[::-1], e[i] + 1
     while r and r[0] == 0:
         r, e[0] = r[1:], e[0] + 1
-    if not r:  # F vanishes identically: every lam solves
-        return -1.0, 0.0
-    if roots := [t for t in _unit_roots(r) if t != 0]:
-        def f(x):
-            return _mu3_deformed(mu, ab, x, theta) - mu.mu3
+    return r, e
 
-        x = best = 2 * math.atanh(roots[0])
-        fx = f_best = f(x)
-        y = x + 1e-8 * max(1.0, abs(x))
-        for k in range(12):   # secant steps, clipped to 1, while |F| falls
-            fy = f(y)
-            if abs(fy) < abs(f_best):
-                best, f_best = y, fy
-            elif k or fy == fx:
-                break
-            x, fx, y = y, fy, y - min(1.0, max(-1.0, fy * (y - x) / (fy - fx)))
-        return best, 0.0
 
-    def f_of_t(t):
-        return (-sum(x * t ** k for k, x in enumerate(r)) * t ** e[0]
-                * (t - 1) ** e[1] * (t + 1) ** e[2] / (2 * mu.mu1))
+def _polished_root(mu, ab, theta, t):
+    """The root lam = 2 atanh(t) of F, polished by secant steps in lam."""
+    def f(x):
+        return _mu3_deformed(mu, ab, x, theta) - mu.mu3
 
-    # F' vanishes where R' T + R S does, T = t^3 - t, S = T sum e_s/(t - s)
-    rp = [0.0, 0.0] + r + [0.0, 0.0]
-    crit = [(k - 2 + sum(e)) * rp[k] + (e[1] - e[2]) * rp[k + 1]
-            - (e[0] + k) * rp[k + 2] for k in range(len(r) + 2)]
-    ts = _unit_roots(crit) + [s for s, k in zip((0.0, 1.0, -1.0), e) if k >= 0]
-    return None, min((abs(f_of_t(t)) for t in ts if t or e[0] >= 0),
-                     default=math.inf)
+    x = best = 2 * math.atanh(t)
+    fx = f_best = f(x)
+    y = x + 1e-8 * max(1.0, abs(x))
+    for k in range(12):   # secant steps, clipped to 1, while |F| falls
+        fy = f(y)
+        if abs(fy) < abs(f_best):
+            best, f_best = y, fy
+        elif k or fy == fx:
+            break
+        x, fx, y = y, fy, y - min(1.0, max(-1.0, fy * (y - x) / (fy - fx)))
+    return best
+
+
+def _deformed_mu3_roots(members):
+    """(lam, inf |F|) of each member (mu, ab, theta), lam the most negative
+    real root of F(lam) = mu3_deformed(mu, lam, theta) - mu3, or None.
+    `ab` is MuAbbrev.from_mu(mu).
+
+    In t = tanh(lam/2), 2 mu1 t (1 - t^2) F is P = (1 - t^2) A + L Q with
+    A = mu1 (2 mu23 t - mu24 (1 + t^2)), L = theta (mu6 (1 + t^2) - 2 mu5 t)
+    and Q = mu19 t^3/2 + (mu68 - 2 mu78) t^2 + 3 mu19 t/2 - mu68.  Dividing
+    out its exact factors t - 1, t + 1 (lam = +-inf) and t leaves R, with
+    F = -R t^e0 (t - 1)^e1 (t + 1)^e2 / (2 mu1).  Real lam are the t in
+    (-1, 1) but 0; with no root, inf |F| is over critical points and limits.
+
+    Each stage runs over all members before the next: R by synthetic
+    division, the roots of every R (`_unit_roots`), the secant polish of
+    each first root, then the roots of the critical-point polynomials of
+    the rootless members.
+    """
+    quintics = [_mu3_quintic(*m) for m in members]
+    roots = iter(_unit_roots([r for r, _ in quintics if r]))
+    out, rootless = [], []
+    for k, (member, (r, _)) in enumerate(zip(members, quintics)):
+        if not r:  # F vanishes identically: every lam solves
+            out.append((-1.0, 0.0))
+        elif ts := [t for t in next(roots) if t != 0]:
+            out.append((_polished_root(*member, ts[0]), 0.0))
+        else:
+            out.append(None)
+            rootless.append(k)
+    crits = []
+    for k in rootless:
+        # F' vanishes where R' T + R S does, T = t^3 - t, S = T sum e_s/(t - s)
+        r, e = quintics[k]
+        rp = [0.0, 0.0] + r + [0.0, 0.0]
+        crits.append([(j - 2 + sum(e)) * rp[j] + (e[1] - e[2]) * rp[j + 1]
+                      - (e[0] + j) * rp[j + 2] for j in range(len(r) + 2)])
+    for k, ts in zip(rootless, _unit_roots(crits)):
+        mu1 = members[k][0].mu1
+        r, e = quintics[k]
+
+        def f_of_t(t):
+            return (-sum(x * t ** j for j, x in enumerate(r)) * t ** e[0]
+                    * (t - 1) ** e[1] * (t + 1) ** e[2] / (2 * mu1))
+
+        ts += [s for s, j in zip((0.0, 1.0, -1.0), e) if j >= 0]
+        out[k] = (None, min((abs(f_of_t(t)) for t in ts if t or e[0] >= 0),
+                            default=math.inf))
+    return out
+
+
+def _pt5_verdicts(mode, mu, theta):
+    """Yield (phase, witness, margin1, margin2, lam) for each PT5 point:
+    `mu` is a Mu whose fields are floats (one point) or float64 columns (a
+    block), and `theta` a float or a column.
+
+    The abbreviations and the special ratio are computed once for the
+    block, on the columns, by the scalar formulas: + - * / and abs in the
+    same order, squares by `_pow2`, so every value has the bits of a
+    one-point computation.  The ratio tests, the decisions and the printed
+    scalars (arccoth, the deformed roots and their polish) are per point.
+    """
+    if mode == "special":
+        nums, dens = _special_ratio(mu, theta)
+        for num, den in _rows(nums, dens):
+            if den == 0:
+                yield (BOUNDARY, "special coth ratio: zero denominator "
+                       "(lambda degenerates)", math.nan, math.nan, None)
+                continue
+            ratio = num / den
+            margin = abs(ratio) - 1
+            if abs(margin) <= BOUNDARY_TOL:
+                yield (BOUNDARY, "|special coth ratio| = 1", margin,
+                       math.nan, None)
+            else:
+                yield (SYMMETRIC if margin > 0 else BROKEN,
+                       f"|special coth ratio| = {abs(ratio)!r}", margin,
+                       math.nan, arccoth(ratio))
+        return
+    if mode != "general":
+        raise ValueError(f"unknown mode {mode!r}")
+
+    ab = MuAbbrev.from_mu(mu)
+    # per point: mu1..mu9, mu78, mu19, mu23, mu24, mu68, theta
+    points = _rows(*vars(mu).values(), *vars(ab).values(), theta)
+    # at mu5 = mu6 = 0 the deformed mu3 condition collapses to the
+    # undeformed coth(lambda) = mu23/mu24 for every theta
+    deformed = [i for i, v in enumerate(points)
+                if v[14] != 0 and (v[4] != 0 or v[5] != 0)]
+    roots = {}
+    if deformed:
+        roots = dict(zip(deformed, _deformed_mu3_roots([
+            (Mu(*points[i][:9]), MuAbbrev(*points[i][9:14]), points[i][14])
+            for i in deformed])))
+    for i, (mu78, mu19, mu23, mu24) in enumerate(v[9:13] for v in points):
+        m1, b1 = _ratio_test(mu78, mu19)
+        d2 = None  # the second condition's own Boundary witness, if any
+        if i not in roots:
+            m2, b2 = _ratio_test(mu23, mu24)
+            name2 = "|mu23| >= |mu24|"
+            lam = None
+            if mu24 != 0 and abs(mu23) != abs(mu24):
+                lam = arccoth(mu23 / mu24)
+        else:
+            name2 = "real lambda for mu3 condition"
+            root, miss = roots[i]
+            if root is not None:
+                m2, b2, lam = 1.0, False, complex(root)
+            elif miss <= BOUNDARY_TOL:
+                m2, b2, lam = 0.0, True, None
+                d2 = "mu3 condition grazes zero"
+            else:
+                m2, b2, lam = -miss, False, None
+        viol1 = m1 < 0 and not b1
+        viol2 = m2 < 0 and not b2
+        if viol1 or viol2:
+            which = "|mu78| >= |mu19|" if viol1 else name2
+            yield BROKEN, f"violated: {which}", m1, m2, lam
+        elif b1 or b2:
+            which = d2 or ("first ratio at 1" if b1 else "second ratio at 1")
+            yield BOUNDARY, which, m1, m2, lam
+        else:
+            yield SYMMETRIC, "both conditions hold", m1, m2, lam
 
 
 def classify_region(mu, theta, mode="general"):
@@ -478,60 +629,86 @@ def classify_region(mu, theta, mode="general"):
     not that one real map solves both: at mu = (1, 0, 1, 2, 1, 1, 0.5, 0.5,
     0.5) and theta = 12 it is Symmetric, yet mu19 = 0 while mu78 != 0, so
     coth(2 lam) = mu78/mu19 has no finite root.
+
+    This is the one-point case of the block computation `classify_points`
+    runs.
     """
-    if mode == "special":
-        num, den = _special_ratio(mu, theta)
-        if den == 0:
-            return RegionVerdict(
-                BOUNDARY,
-                "special coth ratio: zero denominator (lambda degenerates)",
-                margin1=math.nan)
-        ratio = num / den
-        margin = abs(ratio) - 1
-        if abs(margin) <= BOUNDARY_TOL:
-            return RegionVerdict(BOUNDARY, "|special coth ratio| = 1",
-                                 margin1=margin)
-        phase = SYMMETRIC if margin > 0 else BROKEN
-        return RegionVerdict(phase, f"|special coth ratio| = {abs(ratio)!r}",
-                             margin1=margin, lam=arccoth(ratio))
+    return RegionVerdict(*next(_pt5_verdicts(mode, mu, theta)))
 
-    if mode != "general":
-        raise ValueError(f"unknown mode {mode!r}")
 
-    ab = MuAbbrev.from_mu(mu)
-    m1, b1 = _ratio_test(ab.mu78, ab.mu19)
-    d2 = None  # the second condition's own Boundary witness, if any
+# The CLI hands `classify_points` at most this many grid points at a time:
+# a deformed 40 x 40 grid in one block peaked at 3.5 MB of traced heap, in
+# blocks of 256 points at 1.19 MB (1.05 MB one point at a time).
+BLOCK_POINTS = 256
 
-    if theta == 0 or (mu.mu5 == 0 and mu.mu6 == 0):
-        # at mu5 = mu6 = 0 the deformed mu3 condition collapses to the
-        # undeformed coth(lambda) = mu23/mu24 for every theta
-        m2, b2 = _ratio_test(ab.mu23, ab.mu24)
-        name2 = "|mu23| >= |mu24|"
-        lam = None
-        if ab.mu24 != 0 and abs(ab.mu23) != abs(ab.mu24):
-            lam = arccoth(ab.mu23 / ab.mu24)
-    else:
-        name2 = "real lambda for mu3 condition"
-        root, miss = _deformed_mu3_root(mu, ab, theta)
-        if root is not None:
-            m2, b2, lam = 1.0, False, complex(root)
-        elif miss <= BOUNDARY_TOL:
-            m2, b2, lam = 0.0, True, None
-            d2 = "mu3 condition grazes zero"
-        else:
-            m2, b2, lam = -miss, False, None
+def classify_points(model, block):
+    """The result cells (theta, lambda_re, lambda_im, rho, tau, verdict,
+    margin_ineq1, margin_ineq2) of each grid point of `block`, a list of
+    dicts from parameter names and "theta" to floats, for the CLI `model`.
 
-    viol1 = m1 < 0 and not b1
-    viol2 = m2 < 0 and not b2
-    if viol1 or viol2:
-        which = "|mu78| >= |mu19|" if viol1 else name2
-        return RegionVerdict(BROKEN, f"violated: {which}",
-                             margin1=m1, margin2=m2, lam=lam)
-    if b1 or b2:
-        which = d2 or ("first ratio at 1" if b1 else "second ratio at 1")
-        return RegionVerdict(BOUNDARY, which, margin1=m1, margin2=m2, lam=lam)
-    return RegionVerdict(SYMMETRIC, "both conditions hold",
-                         margin1=m1, margin2=m2, lam=lam)
+    PT5 points are classified together (`_pt5_verdicts`); one point alone
+    is what `classify_region` computes.  When a block fails, its points are
+    re-run one at a time, so the error raised is that of the first failing
+    point, as in a point-by-point run.  Toy and general-coeffs points are
+    computed one by one.
+    """
+    if model == "toy":
+        return [_toy_cells(p) for p in block]
+    if model == "general-coeffs":
+        return [_coeffs_cells(p) for p in block]
+    try:
+        return _pt5_cells(model, block)
+    except (ValueError, ArithmeticError):
+        for p in block:
+            _pt5_cells(model, [p])
+        raise
+
+
+def _pt5_cells(model, block):
+    mu = Mu(*(np.array([p.get(k, 0.0) for p in block], dtype=float)
+              for k in MU_NAMES))
+    theta = np.array([p["theta"] for p in block], dtype=float)
+    mode = "special" if model == "pt5-special" else "general"
+    cells = []
+    with np.errstate(all="ignore"):   # inf and nan, as in float arithmetic
+        for th, mu1, mu5, mu6, (phase, _, m1, m2, lam) in zip(
+                theta.tolist(), mu.mu1.tolist(), mu.mu5.tolist(),
+                mu.mu6.tolist(), _pt5_verdicts(mode, mu, theta)):
+            if lam is None:
+                cells.append((th, None, None, None, None, phase, m1, m2))
+            else:
+                cells.append((th, lam.real, lam.imag,
+                              _rho(mu1, mu5, mu6, lam), 0.0, phase, m1, m2))
+    return cells
+
+
+def _toy_cells(p):
+    theta, mu1 = p["theta"], p["mu1"]
+    mu3, mu4 = p.get("mu3", 0.0), p.get("mu4", 0.0)
+    margin = abs(mu3 / mu4) - 1 if mu4 != 0 else math.nan
+    if mu4 == 0 or abs(margin) <= BOUNDARY_TOL:
+        return (theta, None, None, None, None, BOUNDARY, margin, None)
+    params = toy_dyson_params(mu1, mu4, toy_lambda(mu3, mu4), theta)
+    phase = SYMMETRIC if margin > 0 else BROKEN
+    return (theta, params.lam.real, params.lam.imag, params.rho, params.tau,
+            phase, margin, None)
+
+
+def _coeffs_cells(p):
+    theta = p["theta"]
+    params, residual = solve_generic_numeric(coeffs_from_values(p), theta)
+    # a failed search is no proof of the broken phase
+    phase = SYMMETRIC if residual <= CERT_TOL else UNRESOLVED
+    # margin: distance of the certificate residual from its threshold
+    return (theta, params.lam.real, params.lam.imag, params.rho, params.tau,
+            phase, CERT_TOL - residual, None)
+
+
+def coeffs_from_values(values):
+    """The coefficients c_k + i c_k_im of a name -> value map, 0 if absent."""
+    return HamiltonianCoeffs(tuple(
+        complex(values.get(f"c{k}", 0.0), values.get(f"c{k}_im", 0.0))
+        for k in range(1, 11)))
 
 
 def hermitian_counterpart_pt5(mu, theta):

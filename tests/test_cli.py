@@ -311,6 +311,56 @@ def test_spectrum_toy_needs_exactly_one_of_lam_mu3(tmp_path):
     assert cli.main(["spectrum", "-c", cfg]) == 2
 
 
+@pytest.mark.parametrize("command", ["hermitize", "spectrum"])
+@pytest.mark.parametrize("fixed, err", [
+    ({"mu1": 1, "mu3": 1, "mu4": 0},
+     "toy mu3 needs a nonzero mu4: lam = 2 arccoth(mu3/mu4)"),
+    ({"mu1": 1, "mu3": 1},
+     "toy mu3 needs a nonzero mu4: lam = 2 arccoth(mu3/mu4)"),
+    ({"mu1": 1, "mu4": 1, "lam": 0}, "toy lam must be nonzero"),
+], ids=["mu4-zero", "mu4-absent", "lam-zero"])
+def test_toy_input_errors_exit_2(command, fixed, err, capsys, monkeypatch):
+    """A toy member with no lam to build is an input error, checked before
+    the member is built (these exited 3, as numeric failures)."""
+    def no_member(*args, **kwargs):
+        raise AssertionError("a member was built")
+    monkeypatch.setattr(cli, "toy_model", no_member)
+    code = cli.main([command, "--set", 'model="toy"',
+                     "--set", "fixed=" + json.dumps(fixed)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"config error: {err}\n"
+
+
+def test_blocks_keep_the_bytes_of_a_point_by_point_run(tmp_path,
+                                                       monkeypatch):
+    # 601 deformed points cross two block boundaries; with one point per
+    # block every stacked eigvals call holds one matrix
+    argv = ["classify", "-c", "configs/classify_deformed_sweep.json",
+            "--set", 'axes=[{"name": "mu3", "min": -4, "max": 4, '
+                     '"steps": 601}]', "--set", "theta=1.5"]
+    sizes = []
+    real = cli.classify_points
+
+    def recording(model, block):
+        sizes.append(len(block))
+        return real(model, block)
+
+    monkeypatch.setattr(cli, "classify_points", recording)
+    blocks, points = tmp_path / "blocks.csv", tmp_path / "points.csv"
+    assert cli.main(argv + ["-o", str(blocks)]) == 0
+    assert sizes == [256, 256, 89]
+    sizes.clear()
+    monkeypatch.setattr(cli, "BLOCK_POINTS", 1)
+    assert cli.main(argv + ["-o", str(points)]) == 0
+    assert sizes == [1] * 601
+    text = blocks.read_text()
+    assert text == points.read_text()
+    assert len(text.splitlines()) == 602
+    assert {"Symmetric", "Broken"} <= {row.split(",")[6]
+                                       for row in text.splitlines()[1:]}
+
+
 def test_spectrum_fock_needs_positive_theta(tmp_path):
     cfg = write_config(tmp_path, "zero.json", {
         "model": "pt5-general", "theta": 0.0, "hamiltonian": "H",

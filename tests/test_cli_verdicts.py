@@ -131,6 +131,39 @@ def test_overflowing_member_is_a_numeric_failure(argv, capsys):
     assert captured.err.startswith("numeric failure: ")
 
 
+_MID_GRID = 'axes=[{"name": "mu5", "min": 1, "max": 1e300, "steps": 3}]'
+_OVERFLOW = "numeric failure: (34, 'Numerical result out of range')\n"
+
+
+@pytest.mark.parametrize("argv, err", [
+    # mu5 = 1, 5e299, 1e300: mu5 ** 2 overflows from the middle point on
+    (["--set", 'model="pt5-special"', "--set",
+      'fixed={"mu1": 1, "mu2": 0, "mu3": 1, "mu4": 2, "mu6": 1, "mu8": 0}',
+      "--set", _MID_GRID], _OVERFLOW),
+    (["--set", 'model="pt5-general"', "--set",
+      'fixed={"mu1": 1, "mu2": 0, "mu3": 1, "mu4": 2, "mu6": 1, "mu7": 0, '
+      '"mu8": 0, "mu9": 0}', "--set", _MID_GRID], _OVERFLOW),
+    # rows (mu5, mu4): (0.5, 1) passes; (0.5, 1e300) leaves non-finite
+    # mu3-condition coefficients, a later stage than the overflowing
+    # mu5 ** 2 of the two points after it, and comes first in row order
+    (["--set", 'model="pt5-general"', "--set",
+      'fixed={"mu1": 1e10, "mu2": 0, "mu3": 1, "mu6": 1, "mu7": 0, '
+      '"mu8": 0, "mu9": 0}', "--set",
+      'axes=[{"name": "mu5", "min": 0.5, "max": 1e300, "steps": 2}, '
+      '{"name": "mu4", "min": 1, "max": 1e300, "steps": 2}]'],
+     "numeric failure: non-finite mu3 condition coefficients\n"),
+], ids=["special", "deformed", "first-failure-in-row-order"])
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_failing_grid_point_prints_no_rows(argv, err, workers, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["classify", "--workers", workers, "--set",
+                         "theta=1", *argv])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == err
+
+
 @pytest.mark.parametrize("axes", [
     [{"name": "mu3", "min": 0.0, "max": 1.0, "steps": 10 ** 18}],
     [{"name": "mu3", "min": 0.0, "max": 1.0, "steps": 1001},

@@ -1,6 +1,7 @@
 import cmath
 import math
 import os
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from scipy.optimize import brentq
 
 from deformed_e2 import hermiticity_residual, max_coeff_diff
-from deformed_e2 import OperatorPoly, algebra, cli, dyson, models
+from deformed_e2 import OperatorPoly, algebra, dyson, models
 from deformed_e2.dyson import SERIES_CUTOFF, DysonParams, adjoint_poly
 from deformed_e2.models import (
     BOUNDARY,
@@ -23,6 +24,7 @@ from deformed_e2.models import (
     arccoth,
     build_general,
     build_pt5,
+    classify_points,
     classify_region,
     constraint_residuals,
     extract_coeffs,
@@ -632,7 +634,7 @@ def test_complex_c1_is_unresolved_after_one_evaluation(monkeypatch):
     z = rng.uniform(-1.0, 1.0, 10) + 1j * rng.uniform(-1.0, 1.0, 10)
     values = {f"c{k + 1}": x.real for k, x in enumerate(z)}
     values.update({f"c{k + 1}_im": x.imag for k, x in enumerate(z)})
-    row = cli._classify_point(("general-coeffs", values, 0.9))
+    row, = classify_points("general-coeffs", [{**values, "theta": 0.9}])
     assert len(calls) == 1
     assert row[1:6] == (0.0, 0.0, 0.0, 0.0, "Unresolved")
     assert row[6] == CERT_TOL - np.max(np.abs(constraint_residuals(z, 0.9)))
@@ -709,8 +711,8 @@ def test_quintic_root_matches_dense_scan_and_brentq():
         first = next((b for a, b, fa, fb in zip(_SCAN, _SCAN[1:], vals,
                                                  vals[1:])
                       if a * b > 0 and fa * fb <= 0), None)
-        root, miss = models._deformed_mu3_root(mu, MuAbbrev.from_mu(mu),
-                                               theta)
+        (root, miss), = models._deformed_mu3_roots(
+            [(mu, MuAbbrev.from_mu(mu), theta)])
         if first is None:
             missed += root is None
             continue
@@ -724,13 +726,17 @@ def test_quintic_root_matches_dense_scan_and_brentq():
     assert found >= 500 and missed >= 100, (found, missed)
 
 
+# F changes sign at lam = 1.14986 and 1.19665, both inside one interval of a
+# 400-point log grid over |lam| <= 30
+_CLOSE_ROOT_PAIR = (
+    Mu(0.9467007032827586, 0.555528331011125, 1.2853341188001872,
+       1.4591265848707677, -1.6965758291313904, -1.327259729903413,
+       1.7024403838168727, 1.953750945300472, -1.6180213122709293),
+    5.392048540968697)
+
+
 def test_close_root_pair_is_found():
-    # F changes sign at lam = 1.14986 and 1.19665, both inside one interval
-    # of a 400-point log grid over |lam| <= 30
-    mu = Mu(0.9467007032827586, 0.555528331011125, 1.2853341188001872,
-            1.4591265848707677, -1.6965758291313904, -1.327259729903413,
-            1.7024403838168727, 1.953750945300472, -1.6180213122709293)
-    theta = 5.392048540968697
+    mu, theta = _CLOSE_ROOT_PAIR
     verdict = classify_region(mu, theta)
     assert verdict.margin2 == 1.0
     lam = verdict.lam.real
@@ -738,12 +744,15 @@ def test_close_root_pair_is_found():
     assert abs(_mu3_residual(mu, theta)(lam)) <= 1e-12
 
 
-@pytest.mark.parametrize("mu, phase", [
+_DEGENERATE_MU3 = [
     # mu5 = mu6 and mu3 = mu4: F tends to 0 as lam -> +inf, with no root
     (Mu(1.0, 0.5, -1.0, -1.0, 0.5, 0.5, -0.5, 0.5, 0.25), BOUNDARY),
     # mu19 = mu23 = mu24 = mu68 = mu78 = 0: every lam solves
     (Mu(1.0, 0.0, -0.25, 0.0, 0.0, 0.5, 0.0, -0.0625, 0.0), SYMMETRIC),
-])
+]
+
+
+@pytest.mark.parametrize("mu, phase", _DEGENERATE_MU3)
 @pytest.mark.parametrize("theta", [0.25, 1.0, 2.5])
 def test_degenerate_mu3_condition(mu, phase, theta):
     verdict = classify_region(mu, theta)
@@ -766,3 +775,68 @@ def test_planted_far_root_passes_the_bench_rule(planted, monkeypatch):
     verdict = classify_region(mu, theta)
     assert verdict.margin2 == 1.0
     assert _mu3_root_error(mu, verdict.lam.real, theta) is None
+
+
+def _same_cells(a, b):
+    """Cell tuples equal field by field: floats bit for bit (so -0.0 is not
+    0.0), complex parts likewise, and NaN wherever the other has NaN."""
+    def key(x):
+        if isinstance(x, complex):
+            return key(x.real), key(x.imag)
+        if isinstance(x, float):
+            return "nan" if math.isnan(x) else struct.pack("<d", x)
+        return x
+    return [key(x) for x in a] == [key(x) for x in b]
+
+
+def _block_members(rng, model):
+    """3,000 random members in three strata (deformed, theta = 0 and
+    mu5 = mu6 = 0), with the degenerate and close-root members, shuffled
+    so every block mixes them; special members drop mu7 and mu9."""
+    members = []
+    for k in range(3000):
+        mu, theta = _random_deformed_member(rng)
+        if k % 3 == 1:
+            theta = 0.0
+        elif k % 3 == 2:
+            mu = replace(mu, mu5=0.0, mu6=0.0)
+        members.append((mu, theta))
+    members += [(mu, theta) for mu, _ in _DEGENERATE_MU3
+                for theta in (0.25, 1.0, 2.5)]
+    members.append(_CLOSE_ROOT_PAIR)
+    # a 0/0 special ratio: Boundary with a NaN margin
+    members.append((Mu(mu1=1.0, mu4=1.0, mu5=-2.0), 0.0))
+    points = []
+    for i in rng.permutation(len(members)):
+        mu, theta = members[i]
+        values = dict(vars(mu))
+        if model == "pt5-special":
+            del values["mu7"], values["mu9"]
+        points.append({**values, "theta": theta})
+    return points
+
+
+@pytest.mark.parametrize("model", ["pt5-general", "pt5-special"])
+def test_blocks_match_one_point_calls(model):
+    # the blocks' column arithmetic and stacked eigvals against one point
+    # at a time, and against classify_region on the same member
+    points = _block_members(np.random.default_rng(22), model)
+    mode = "special" if model == "pt5-special" else "general"
+    cells = []
+    for i in range(0, len(points), models.BLOCK_POINTS):
+        cells += classify_points(model, points[i:i + models.BLOCK_POINTS])
+    assert len(cells) == len(points)
+    phases = set()
+    for p, row in zip(points, cells):
+        assert _same_cells(row, classify_points(model, [p])[0]), p
+        mu = Mu(**{k: v for k, v in p.items() if k != "theta"})
+        if model == "pt5-special":
+            mu = with_special_choice(mu)
+        verdict = classify_region(mu, p["theta"], mode=mode)
+        lam = verdict.lam
+        assert _same_cells(row[1:3] + row[5:], (
+            None if lam is None else lam.real,
+            None if lam is None else lam.imag,
+            verdict.phase, verdict.margin1, verdict.margin2)), p
+        phases.add(verdict.phase)
+    assert phases == {SYMMETRIC, BROKEN, BOUNDARY}
