@@ -253,7 +253,7 @@ def _axes(cfg, model):
     if total > MAX_GRID_POINTS:
         raise ConfigError(f"grid has {total} points; at most "
                           f"{MAX_GRID_POINTS} are allowed")
-    return [(name, [float(v) for v in np.linspace(lo, hi, steps)])
+    return [(name, np.linspace(lo, hi, steps))
             for name, lo, hi, steps in sweeps]
 
 
@@ -282,27 +282,51 @@ def _json_text(obj):
 # classify
 
 
-def _cell(x):
-    if x is None:
-        return ""
-    if isinstance(x, str):
-        return x
-    if isinstance(x, complex):
-        if abs(x.imag) <= 1e-12:
-            return repr(float(x.real))
-        return repr(complex(x))
-    return repr(float(x))
+def _texts(col, end=""):
+    """repr of each value of a float64 column, and `end`, each distinct
+    value formatted once.  Values are told apart by their bits, so 0.0 and
+    -0.0, which compare equal, keep their own texts."""
+    bits, at = np.unique(col.view(np.int64), return_inverse=True)
+    texts = [repr(x) + end for x in bits.view(np.float64).tolist()]
+    return np.array(texts, dtype=object)[at].tolist()
+
+
+def _cell_lines(cells):
+    """The end of the CSV line of each point of `cells` (models.Cells): the
+    cells from lambda_re on, and the newline.
+
+    Every float prints as its repr, a cell without a value as nothing, and
+    rho, complex, as its real part where |Im rho| <= 1e-12.  The columns
+    whose values repeat (lambda_im of real roots, tau, the margins) are
+    formatted once per distinct value.
+    """
+    m = cells.mapped
+    lam, rho = cells.lam[m], cells.rho[m]
+    real = (np.abs(rho.imag) <= 1e-12).tolist()
+    mapped = [list(map(repr, lam.real.tolist())), _texts(lam.imag),
+              [repr(z.real) if r else repr(z)
+               for z, r in zip(rho.tolist(), real)],
+              _texts(cells.tau[m])]
+    if not m.all():
+        for k, texts in enumerate(mapped):
+            column = np.full(len(m), "", dtype=object)
+            column[m] = texts
+            mapped[k] = column.tolist()
+    margin2 = (["\n"] * len(m) if cells.margin2 is None
+               else _texts(cells.margin2, "\n"))
+    return list(map(",".join, zip(*mapped, cells.verdict,
+                                  _texts(cells.margin1), margin2)))
 
 
 def _classify_point(payload):
-    """(model, block) -> one CSV line of result cells per grid point of the
-    block, without the swept columns.
+    """(model, block) -> the end of the CSV line of each grid point of the
+    block, from lambda_re on (`_cell_lines`).
 
     The task the pool maps, one block at a time; top level for pickling.
     No cell holds a comma, a quote or a line break, so the lines need no
     CSV quoting.
     """
-    return [",".join(map(_cell, cells)) for cells in classify_points(*payload)]
+    return _cell_lines(classify_points(*payload))
 
 
 def cmd_classify(cfg, workers):
@@ -316,26 +340,34 @@ def cmd_classify(cfg, workers):
     if "theta" not in axis_names:
         fixed["theta"] = _number(cfg.get("theta", 0.0), "theta")
 
-    # row-major grid: first axis is the outer loop
-    grid = itertools.product(*(vals for _, vals in axes))
-    points = [{**fixed, **dict(zip(axis_names, point))} for point in grid]
+    # the row-major grid, first axis the outer loop, as one column of
+    # axis-value indices per axis
+    sizes = [len(values) for _, values in axes]
+    total = math.prod(sizes)
+    index = [np.tile(np.repeat(np.arange(n), math.prod(sizes[k + 1:])),
+                     math.prod(sizes[:k])) for k, n in enumerate(sizes)]
+    columns = {name: values[i] for (name, values), i in zip(axes, index)}
     # blocks of at most BLOCK_POINTS, and at least one per worker
-    size = min(BLOCK_POINTS, -(-len(points) // workers))
-    blocks = [(model, points[i:i + size])
-              for i in range(0, len(points), size)]
+    size = min(BLOCK_POINTS, -(-total // workers))
+    blocks = []
+    for start in range(0, total, size):
+        block = {name: np.full(min(size, total - start), value)
+                 for name, value in fixed.items()}
+        block.update((name, column[start:start + size])
+                     for name, column in columns.items())
+        blocks.append((model, block))
     results = _run_pool(_classify_point, blocks, workers)
 
-    # each swept value is formatted once, then repeated in grid order;
-    # theta has its own column among the result cells
-    swept = [[[] if name == "theta" else [_cell(v)] for v in vals]
-             for name, vals in axes]
-    header = [name for name in axis_names if name != "theta"]
-    lines = itertools.chain(
-        [",".join(header + list(_CSV_FIELDS)) + "\n"],
-        (",".join([*itertools.chain(*prefix), line]) + "\n"
-         for prefix, line in zip(itertools.product(*swept),
-                                 itertools.chain(*results))))
-    _emit(lines, cfg.get("output"))
+    # the swept columns, then theta, swept or fixed: each value is
+    # formatted once, then repeated in grid order
+    texts = {name: np.array(list(map(repr, values.tolist())), dtype=object)[i]
+             for (name, values), i in zip(axes, index)}
+    theta = (texts.pop("theta") if "theta" in texts
+             else np.full(total, repr(fixed["theta"]), dtype=object))
+    header = ",".join([*texts, *_CSV_FIELDS]) + "\n"
+    lines = map(",".join, zip(*(t.tolist() for t in texts.values()),
+                              theta.tolist(), itertools.chain(*results)))
+    _emit(itertools.chain([header], lines), cfg.get("output"))
     return 0
 
 

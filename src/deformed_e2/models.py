@@ -36,6 +36,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -134,8 +135,7 @@ class Mu:
         ))
 
 
-@dataclass(frozen=True)
-class MuAbbrev:
+class MuAbbrev(NamedTuple):
     """The combinations controlling the Dyson constraints."""
 
     mu78: float
@@ -159,14 +159,6 @@ class MuAbbrev:
             mu.mu2 * mu.mu6 / (2 * mu.mu1) - mu.mu5 / 2 - mu.mu4,  # mu24
             sq6 / (4 * mu.mu1) + mu.mu8,                         # mu68
         )
-
-
-def _rows(*xs):
-    """Per-point tuples of floats from a block's float64 columns, or the
-    one tuple of the floats of one point."""
-    if isinstance(xs[0], np.ndarray):
-        return list(zip(*(x.tolist() for x in xs)))
-    return [xs]
 
 
 def _pow2(x):
@@ -363,17 +355,26 @@ def mu3_deformed(mu, lam, theta):
     mu3 = -mu24 coth(lam) + mu2 mu5/(2 mu1) - mu6/2 at theta = 0.
     The mu3 stored on `mu` is ignored (this is the equation for it).
     """
-    return _mu3_deformed(mu, MuAbbrev.from_mu(mu), float(lam), theta)
+    ab = MuAbbrev.from_mu(mu)
+    return _mu3_condition(mu.mu1, mu.mu2, 0.0, mu.mu5, mu.mu6, ab.mu19,
+                          ab.mu24, ab.mu68, ab.mu78, theta)(float(lam))
 
 
-def _mu3_deformed(mu, ab, lam, theta):
-    """`mu3_deformed` given `ab = MuAbbrev.from_mu(mu)`."""
-    ch, sh = math.cosh(lam), math.sinh(lam)
-    if sh == 0:
-        raise ValueError("lambda = 0 is singular in the (1+cosh)/sinh term")
-    mu3_0 = -ab.mu24 * ch / sh + mu.mu2 * mu.mu5 / (2 * mu.mu1) - mu.mu6 / 2
-    return mu3_0 + theta * 2 * _mu56(mu, ch, sh) * (
-        ab.mu19 * (0.5 + ch) - ab.mu78 * sh - ab.mu68 * (1 + ch) / sh)
+def _mu3_condition(mu1, mu2, mu3, mu5, mu6, mu19, mu24, mu68, mu78, theta):
+    """F(lam) = mu3_deformed(mu, lam, theta) - mu3 of the member with these
+    values, as a function of a float lam; the terms free of lam are
+    computed once."""
+    neg24, c0, c6 = -mu24, mu2 * mu5 / (2 * mu1), mu6 / 2
+    twice1, twice_theta = 2 * mu1, theta * 2
+
+    def f(lam):
+        ch, sh = math.cosh(lam), math.sinh(lam)
+        if sh == 0:
+            raise ValueError("lambda = 0 is singular in the (1+cosh)/sinh term")
+        mu56 = (mu6 * ch - mu5 * sh) / (twice1 * (1 + ch))
+        return (neg24 * ch / sh + c0 - c6 + twice_theta * mu56 * (
+            mu19 * (0.5 + ch) - mu78 * sh - mu68 * (1 + ch) / sh) - mu3)
+    return f
 
 
 def _special_ratio(mu, theta):
@@ -403,6 +404,21 @@ def solve_pt5_special(mu, theta):
     return DysonParams(lam, rho, 0.0, theta)
 
 
+def _where(cond, a, b):
+    """a where `cond` holds, else b: `np.where` on a block's columns, a
+    conditional expression on one point's values."""
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, a, b)
+    return a if cond else b
+
+
+def _div(num, den):
+    """num / den, NaN where den = 0 (where a float division raises)."""
+    if isinstance(den, np.ndarray):
+        return np.where(den == 0, math.nan, num / den)
+    return num / den if den != 0 else math.nan
+
+
 def _ratio_test(num, den):
     """(margin, at_boundary) for an |num| >= |den| inequality.
 
@@ -410,72 +426,92 @@ def _ratio_test(num, den):
     vacuous (satisfied with zero margin, lambda unconstrained by it) and
     |num| >= 0 with num != 0 is strictly satisfied.
     """
-    if den == 0:
-        return abs(num), False
-    return abs(num) - abs(den), abs(abs(num / den) - 1) <= BOUNDARY_TOL
+    return abs(num) - abs(den), abs(abs(_div(num, den)) - 1) <= BOUNDARY_TOL
 
 
-def _unit_roots(polys):
-    """The real roots in (-1, 1) of each polynomial sum c[k] t^k, ascending.
+def _arccoths(mask, x):
+    """arccoth(x) where `mask` holds: a complex128 column, 0 elsewhere, on a
+    block; a complex or None on one point."""
+    if not isinstance(mask, np.ndarray):
+        return arccoth(x) if mask else None
+    lam = np.zeros(mask.shape, dtype=complex)
+    # arccoth stays in cmath, point by point: numpy's complex log differs
+    # from libm's in the last bit, which the printed lambda would show
+    lam[mask] = list(map(arccoth, x[mask].tolist()))
+    return lam
 
-    The companion matrices are stacked by size, one `eigvals` call per
-    size; a matrix in a stack gets the same eigenvalues, bit for bit, as
-    one on its own.
+
+def _unit_roots(c):
+    """The real roots in (-1, 1) of each polynomial sum c[k] t^k, a row of
+    the float array `c`: a row of roots each, NaN past them.
+
+    Trailing zero coefficients drop.  The companion matrices are stacked by
+    degree, one `eigvals` call per degree; a matrix in a stack gets the same
+    eigenvalues, bit for bit, as one on its own.
     """
-    cols = []
-    for c in polys:
-        while len(c) > 1 and c[-1] == 0:
-            c = c[:-1]
-        col = [-x / c[-1] for x in c[:-1]]
-        if not all(map(math.isfinite, col + c[-1:])):
+    nonzero = c != 0
+    degree = np.where(nonzero.any(axis=1),
+                      c.shape[1] - 1 - np.argmax(nonzero[:, ::-1], axis=1), 0)
+    roots = np.full((len(c), c.shape[1] - 1), math.nan)
+    for n in sorted(set(degree.tolist())):
+        idx = np.flatnonzero(degree == n)
+        lead = c[idx, n:n + 1]
+        col = -c[idx, :n] / lead
+        if not (np.isfinite(col).all() and np.isfinite(lead).all()):
             raise ArithmeticError("non-finite mu3 condition coefficients")
-        cols.append(col)
-    sizes = {}
-    for i, col in enumerate(cols):
-        if col:
-            sizes.setdefault(len(col), []).append(i)
-    roots = [[] for _ in cols]
-    for n, idx in sizes.items():
-        comp = np.zeros((len(idx), n, n))
-        comp[:, 1:, :-1] = np.eye(n - 1)
-        comp[:, :, -1] = [cols[i] for i in idx]
-        for i, z in zip(idx, np.linalg.eigvals(comp).tolist()):
-            roots[i] = sorted(w.real for w in z
-                              if w.imag == 0 and -1 < w.real < 1)
+        if n:
+            comp = np.zeros((len(idx), n, n))
+            comp[:, 1:, :-1] = np.eye(n - 1)
+            comp[:, :, -1] = col
+            z = np.linalg.eigvals(comp)
+            roots[idx, :n] = np.where(
+                (z.imag == 0) & (-1 < z.real) & (z.real < 1), z.real, math.nan)
     return roots
 
 
-def _mu3_quintic(mu, ab, theta):
-    """(R, e) of the deformed mu3 condition (see `_deformed_mu3_roots`)."""
+def _mu3_quintics(mu, ab, theta):
+    """(R, size, e) of the deformed mu3 condition of each member (see
+    `_deformed_mu3_roots`): the coefficients of R ascending, a row per
+    member padded with zeros past its `size`, and e, a row per member."""
     a0, a1 = -mu.mu1 * ab.mu24, 2 * mu.mu1 * ab.mu23
     g, h, c = theta * mu.mu6, -2 * theta * mu.mu5, ab.mu19 / 2
     d = ab.mu68 - 2 * ab.mu78   # L = g + h t + g t^2, Q = -mu68 + 3c t + ...
-    r = [a0 - g * ab.mu68, a1 + 3 * g * c - h * ab.mu68,
-         3 * h * c - 2 * g * ab.mu78, -a1 + 4 * g * c + h * d,
-         -a0 + g * d + h * c, g * c]
-    noise = 8 * math.ulp(1.0) * ((abs(mu.mu5) + abs(mu.mu6)) ** 2 / abs(
+    r = np.stack([a0 - g * ab.mu68, a1 + 3 * g * c - h * ab.mu68,
+                  3 * h * c - 2 * g * ab.mu78, -a1 + 4 * g * c + h * d,
+                  -a0 + g * d + h * c, g * c], axis=1)
+    noise = 8 * math.ulp(1.0) * (_pow2(abs(mu.mu5) + abs(mu.mu6)) / abs(
         4 * mu.mu1) + abs(mu.mu7) + abs(mu.mu8) + abs(mu.mu9))
-    e = [-1, -1, -1]
-    for i, s in ((1, 1.0), (2, -1.0)):
-        # t - s divides (1 - t^2) A once (thrice if mu23 = s mu24), L twice
-        # if mu6 = s mu5, Q once if mu78 = s mu19 up to their rounding noise
-        for _ in range(min(1 + 2 * (ab.mu23 == s * ab.mu24),
-                           2 * (mu.mu6 == s * mu.mu5)
-                           + (abs(ab.mu78 - s * ab.mu19) <= noise))):
-            q = [r[-1]]   # synthetic division; the remainder is rounding
-            for x in r[-2:0:-1]:
-                q.append(x + s * q[-1])
-            r, e[i] = q[::-1], e[i] + 1
-    while r and r[0] == 0:
-        r, e[0] = r[1:], e[0] + 1
-    return r, e
+    # t - s divides (1 - t^2) A once (thrice if mu23 = s mu24), L twice if
+    # mu6 = s mu5, Q once if mu78 = s mu19 up to their rounding noise
+    k = np.stack([np.minimum(1 + 2 * (ab.mu23 == s * ab.mu24),
+                             2 * (mu.mu6 == s * mu.mu5)
+                             + (abs(ab.mu78 - s * ab.mu19) <= noise))
+                  for s in (1.0, -1.0)], axis=1)
+    e = np.concatenate([np.full((len(r), 1), -1), k - 1], axis=1)
+    size = np.full(len(r), r.shape[1])
+    # the rare members with an exact factor t - s or a zero R(0), one by one
+    for i in np.flatnonzero(k.any(axis=1) | (r[:, 0] == 0)).tolist():
+        row = r[i].tolist()
+        for s, count in zip((1.0, -1.0), k[i].tolist()):
+            for _ in range(count):
+                q = [row[-1]]   # synthetic division; the remainder is rounding
+                for x in row[-2:0:-1]:
+                    q.append(x + s * q[-1])
+                row = q[::-1]
+        while row and row[0] == 0:
+            row, e[i, 0] = row[1:], e[i, 0] + 1
+        size[i] = len(row)
+        r[i] = row + [0.0] * (r.shape[1] - len(row))
+    return r, size, e
 
 
-def _polished_root(mu, ab, theta, t):
-    """The root lam = 2 atanh(t) of F, polished by secant steps in lam."""
-    def f(x):
-        return _mu3_deformed(mu, ab, x, theta) - mu.mu3
+def _polished_root(f, t):
+    """The root lam = 2 atanh(t) of f, polished by secant steps in lam.
 
+    Scalar, in `math`: numpy's cosh, sinh and arctanh differ from libm's in
+    the last bit on 14% to 18% of arguments, and the printed lambda would
+    show it.
+    """
     x = best = 2 * math.atanh(t)
     fx = f_best = f(x)
     y = x + 1e-8 * max(1.0, abs(x))
@@ -489,10 +525,23 @@ def _polished_root(mu, ab, theta, t):
     return best
 
 
-def _deformed_mu3_roots(members):
-    """(lam, inf |F|) of each member (mu, ab, theta), lam the most negative
-    real root of F(lam) = mu3_deformed(mu, lam, theta) - mu3, or None.
-    `ab` is MuAbbrev.from_mu(mu).
+def _least_abs_f(r, e, mu1, ts):
+    """inf |F| of a member without real roots: the least |F| over the
+    critical points `ts` in t and the limits t = 0, 1, -1 that F keeps.
+    Scalar: `t ** j` is libm's pow, which numpy's power is not."""
+    def f_of_t(t):
+        return (-sum(x * t ** j for j, x in enumerate(r)) * t ** e[0]
+                * (t - 1) ** e[1] * (t + 1) ** e[2] / (2 * mu1))
+
+    ts += [s for s, j in zip((0.0, 1.0, -1.0), e) if j >= 0]
+    return min((abs(f_of_t(t)) for t in ts if t or e[0] >= 0),
+               default=math.inf)
+
+
+def _deformed_mu3_roots(mu, ab, theta):
+    """(lam, inf |F|) of deformed members: `mu`, `ab` = MuAbbrev.from_mu(mu)
+    and `theta` hold float64 columns, and lam is the most negative real root
+    of F(lam) = mu3_deformed(mu, lam, theta) - mu3, NaN where F has none.
 
     In t = tanh(lam/2), 2 mu1 t (1 - t^2) F is P = (1 - t^2) A + L Q with
     A = mu1 (2 mu23 t - mu24 (1 + t^2)), L = theta (mu6 (1 + t^2) - 2 mu5 t)
@@ -501,115 +550,131 @@ def _deformed_mu3_roots(members):
     F = -R t^e0 (t - 1)^e1 (t + 1)^e2 / (2 mu1).  Real lam are the t in
     (-1, 1) but 0; with no root, inf |F| is over critical points and limits.
 
-    Each stage runs over all members before the next: R by synthetic
-    division, the roots of every R (`_unit_roots`), the secant polish of
-    each first root, then the roots of the critical-point polynomials of
-    the rootless members.
+    Each stage runs over all members before the next: R (`_mu3_quintics`),
+    the roots of every R (`_unit_roots`), the secant polish of each first
+    root, then the roots of the critical-point polynomials of the rootless
+    members.
     """
-    quintics = [_mu3_quintic(*m) for m in members]
-    roots = iter(_unit_roots([r for r, _ in quintics if r]))
-    out, rootless = [], []
-    for k, (member, (r, _)) in enumerate(zip(members, quintics)):
-        if not r:  # F vanishes identically: every lam solves
-            out.append((-1.0, 0.0))
-        elif ts := [t for t in next(roots) if t != 0]:
-            out.append((_polished_root(*member, ts[0]), 0.0))
-        else:
-            out.append(None)
-            rootless.append(k)
-    crits = []
-    for k in rootless:
+    r, size, e = _mu3_quintics(mu, ab, theta)
+    # R = 0: F vanishes identically and every lam solves
+    lam = np.where(size == 0, -1.0, math.nan)
+    miss = np.zeros(len(lam))
+    live = np.flatnonzero(size)
+    roots = _unit_roots(r[live])
+    first = np.where(np.isnan(roots) | (roots == 0), np.inf, roots).min(axis=1)
+    wet, dry = live[first < np.inf], live[first == np.inf]
+    members = zip(*(x[wet].tolist() for x in (
+        mu.mu1, mu.mu2, mu.mu3, mu.mu5, mu.mu6, ab.mu19, ab.mu24, ab.mu68,
+        ab.mu78, theta)))
+    for k, member, t in zip(wet.tolist(), members,
+                            first[first < np.inf].tolist()):
+        lam[k] = _polished_root(_mu3_condition(*member), t)
+    if dry.size:
         # F' vanishes where R' T + R S does, T = t^3 - t, S = T sum e_s/(t - s)
-        r, e = quintics[k]
-        rp = [0.0, 0.0] + r + [0.0, 0.0]
-        crits.append([(j - 2 + sum(e)) * rp[j] + (e[1] - e[2]) * rp[j + 1]
-                      - (e[0] + j) * rp[j + 2] for j in range(len(r) + 2)])
-    for k, ts in zip(rootless, _unit_roots(crits)):
-        mu1 = members[k][0].mu1
-        r, e = quintics[k]
+        rd, ed = r[dry], e[dry]
+        rp = np.pad(rd, ((0, 0), (2, 2)))
+        j = np.arange(rd.shape[1] + 2)
+        crit = ((j - 2 + ed.sum(axis=1, keepdims=True)) * rp[:, :-2]
+                + (ed[:, 1:2] - ed[:, 2:]) * rp[:, 1:-1]
+                - (ed[:, :1] + j) * rp[:, 2:])
+        for k, rk, n, ek, mu1, ts in zip(
+                dry.tolist(), rd.tolist(), size[dry].tolist(), ed.tolist(),
+                mu.mu1[dry].tolist(), _unit_roots(crit).tolist()):
+            miss[k] = _least_abs_f(rk[:n], ek, mu1,
+                                   sorted(t for t in ts if t == t))
+    return lam, miss
 
-        def f_of_t(t):
-            return (-sum(x * t ** j for j, x in enumerate(r)) * t ** e[0]
-                    * (t - 1) ** e[1] * (t + 1) ** e[2] / (2 * mu1))
 
-        ts += [s for s, j in zip((0.0, 1.0, -1.0), e) if j >= 0]
-        out[k] = (None, min((abs(f_of_t(t)) for t in ts if t or e[0] >= 0),
-                            default=math.inf))
-    return out
+class _Verdicts(NamedTuple):
+    """The verdicts of PT5 points: each field a column for a block of
+    points, a value for one point."""
+
+    why: object       # the deciding branch, an index into _BRANCHES
+    margin1: object
+    margin2: object
+    lam: object       # the map's lambda, where `mapped`
+    mapped: object
+    ratio: object     # the special coth ratio; None in general mode
+
+
+# The branches that decide a PT5 verdict, as (phase, witness); the special
+# ratio's witnesses take |ratio|.
+_BRANCHES = (
+    (BOUNDARY, "special coth ratio: zero denominator (lambda degenerates)"),
+    (BOUNDARY, "|special coth ratio| = 1"),
+    (SYMMETRIC, "|special coth ratio| = {!r}"),
+    (BROKEN, "|special coth ratio| = {!r}"),
+    (BROKEN, "violated: |mu78| >= |mu19|"),
+    (BROKEN, "violated: |mu23| >= |mu24|"),
+    (BROKEN, "violated: real lambda for mu3 condition"),
+    (BOUNDARY, "mu3 condition grazes zero"),
+    (BOUNDARY, "first ratio at 1"),
+    (BOUNDARY, "second ratio at 1"),
+    (SYMMETRIC, "both conditions hold"),
+)
+_PHASES = np.array([phase for phase, _ in _BRANCHES])
 
 
 def _pt5_verdicts(mode, mu, theta):
-    """Yield (phase, witness, margin1, margin2, lam) for each PT5 point:
-    `mu` is a Mu whose fields are floats (one point) or float64 columns (a
-    block), and `theta` a float or a column.
+    """The `_Verdicts` of PT5 points: `mu` is a Mu whose fields are floats
+    (one point) or float64 columns (a block), and `theta` a float or a
+    column.
 
-    The abbreviations and the special ratio are computed once for the
-    block, on the columns, by the scalar formulas: + - * / and abs in the
-    same order, squares by `_pow2`, so every value has the bits of a
-    one-point computation.  The ratio tests, the decisions and the printed
-    scalars (arccoth, the deformed roots and their polish) are per point.
+    The same code runs on both: + - * / and abs in the order of the scalar
+    formulas, squares by `_pow2`, comparisons, and `_where` for each
+    choice, so a point in a block gets the bits it gets alone.  Per point
+    are only the libm scalars: arccoth, and the deformed roots' polish and
+    least |F|.  A deformed point alone is classified as a block of one.
     """
     if mode == "special":
-        nums, dens = _special_ratio(mu, theta)
-        for num, den in _rows(nums, dens):
-            if den == 0:
-                yield (BOUNDARY, "special coth ratio: zero denominator "
-                       "(lambda degenerates)", math.nan, math.nan, None)
-                continue
-            ratio = num / den
-            margin = abs(ratio) - 1
-            if abs(margin) <= BOUNDARY_TOL:
-                yield (BOUNDARY, "|special coth ratio| = 1", margin,
-                       math.nan, None)
-            else:
-                yield (SYMMETRIC if margin > 0 else BROKEN,
-                       f"|special coth ratio| = {abs(ratio)!r}", margin,
-                       math.nan, arccoth(ratio))
-        return
+        num, den = _special_ratio(mu, theta)
+        ratio = _div(num, den)
+        margin = abs(ratio) - 1
+        zero = den == 0
+        # _BRANCHES 0: zero denominator, 1: |ratio| at 1, 2 and 3: ratio
+        why = _where(zero | (abs(margin) <= BOUNDARY_TOL), 1 - zero,
+                     3 - (margin > 0))
+        mapped = why >= 2
+        return _Verdicts(why, margin, math.nan, _arccoths(mapped, ratio),
+                         mapped, ratio)
     if mode != "general":
         raise ValueError(f"unknown mode {mode!r}")
 
-    ab = MuAbbrev.from_mu(mu)
-    # per point: mu1..mu9, mu78, mu19, mu23, mu24, mu68, theta
-    points = _rows(*vars(mu).values(), *vars(ab).values(), theta)
     # at mu5 = mu6 = 0 the deformed mu3 condition collapses to the
     # undeformed coth(lambda) = mu23/mu24 for every theta
-    deformed = [i for i, v in enumerate(points)
-                if v[14] != 0 and (v[4] != 0 or v[5] != 0)]
-    roots = {}
-    if deformed:
-        roots = dict(zip(deformed, _deformed_mu3_roots([
-            (Mu(*points[i][:9]), MuAbbrev(*points[i][9:14]), points[i][14])
-            for i in deformed])))
-    for i, (mu78, mu19, mu23, mu24) in enumerate(v[9:13] for v in points):
-        m1, b1 = _ratio_test(mu78, mu19)
-        d2 = None  # the second condition's own Boundary witness, if any
-        if i not in roots:
-            m2, b2 = _ratio_test(mu23, mu24)
-            name2 = "|mu23| >= |mu24|"
-            lam = None
-            if mu24 != 0 and abs(mu23) != abs(mu24):
-                lam = arccoth(mu23 / mu24)
-        else:
-            name2 = "real lambda for mu3 condition"
-            root, miss = roots[i]
-            if root is not None:
-                m2, b2, lam = 1.0, False, complex(root)
-            elif miss <= BOUNDARY_TOL:
-                m2, b2, lam = 0.0, True, None
-                d2 = "mu3 condition grazes zero"
-            else:
-                m2, b2, lam = -miss, False, None
-        viol1 = m1 < 0 and not b1
-        viol2 = m2 < 0 and not b2
-        if viol1 or viol2:
-            which = "|mu78| >= |mu19|" if viol1 else name2
-            yield BROKEN, f"violated: {which}", m1, m2, lam
-        elif b1 or b2:
-            which = d2 or ("first ratio at 1" if b1 else "second ratio at 1")
-            yield BOUNDARY, which, m1, m2, lam
-        else:
-            yield SYMMETRIC, "both conditions hold", m1, m2, lam
+    deformed = (theta != 0) & ((mu.mu5 != 0) | (mu.mu6 != 0))
+    if not isinstance(deformed, np.ndarray) and deformed:
+        block = Mu(*(np.array([x], dtype=float) for x in vars(mu).values()))
+        with np.errstate(all="ignore"):
+            v = _pt5_verdicts(mode, block, np.array([theta], dtype=float))
+        mapped = bool(v.mapped[0])
+        return _Verdicts(int(v.why[0]), float(v.margin1[0]),
+                         float(v.margin2[0]),
+                         complex(v.lam[0]) if mapped else None, mapped, None)
+
+    ab = MuAbbrev.from_mu(mu)
+    m1, b1 = _ratio_test(ab.mu78, ab.mu19)
+    m2, b2 = _ratio_test(ab.mu23, ab.mu24)
+    mapped = _where(deformed, False,
+                    (ab.mu24 != 0) & (abs(ab.mu23) != abs(ab.mu24)))
+    lam = _arccoths(mapped, _div(ab.mu23, ab.mu24))
+    graze = False
+    if isinstance(deformed, np.ndarray) and deformed.any():
+        d = np.flatnonzero(deformed)
+        lam_d, miss = _deformed_mu3_roots(
+            Mu(*(x[d] for x in vars(mu).values())),
+            MuAbbrev(*(x[d] for x in ab)), theta[d])
+        found = ~np.isnan(lam_d)
+        graze = np.zeros(deformed.shape, dtype=bool)
+        graze[d] = ~found & (miss <= BOUNDARY_TOL)
+        lam[d], mapped[d], b2[d] = lam_d, found, graze[d]
+        m2[d] = np.where(found, 1.0, np.where(graze[d], 0.0, -miss))
+    viol1 = _where(b1, False, m1 < 0)
+    viol2 = _where(b2, False, m2 < 0)
+    # _BRANCHES 4-6: a violation, 7-9: at the boundary, 10: both hold
+    why = _where(viol1, 4, _where(viol2, 5 + deformed, _where(
+        b1 | b2, _where(graze, 7, 9 - b1), 10)))
+    return _Verdicts(why, m1, m2, lam, mapped, None)
 
 
 def classify_region(mu, theta, mode="general"):
@@ -631,20 +696,41 @@ def classify_region(mu, theta, mode="general"):
     coth(2 lam) = mu78/mu19 has no finite root.
 
     This is the one-point case of the block computation `classify_points`
-    runs.
+    runs; only the witness text is made here.
     """
-    return RegionVerdict(*next(_pt5_verdicts(mode, mu, theta)))
+    v = _pt5_verdicts(mode, mu, theta)
+    phase, witness = _BRANCHES[v.why]
+    if v.ratio is not None:
+        witness = witness.format(abs(v.ratio))
+    return RegionVerdict(phase, witness, v.margin1, v.margin2, v.lam)
 
 
 # The CLI hands `classify_points` at most this many grid points at a time:
-# a deformed 40 x 40 grid in one block peaked at 3.5 MB of traced heap, in
-# blocks of 256 points at 1.19 MB (1.05 MB one point at a time).
+# a deformed 40 x 40 grid in one block peaked at 1.8 MB of traced heap, in
+# blocks of 256 points at 0.64 MB.
 BLOCK_POINTS = 256
 
+
+class Cells(NamedTuple):
+    """The result columns of a block of grid points: float64 but for `lam`
+    and `rho` (complex128) and `verdict` (a list of phase names).  `lam`,
+    `rho` and `tau` hold the Dyson map where `mapped`; `margin2` is None
+    for a model with one margin."""
+
+    theta: np.ndarray
+    lam: np.ndarray
+    rho: np.ndarray
+    tau: np.ndarray
+    verdict: list
+    margin1: np.ndarray
+    margin2: np.ndarray
+    mapped: np.ndarray
+
+
 def classify_points(model, block):
-    """The result cells (theta, lambda_re, lambda_im, rho, tau, verdict,
-    margin_ineq1, margin_ineq2) of each grid point of `block`, a list of
-    dicts from parameter names and "theta" to floats, for the CLI `model`.
+    """The result columns (`Cells`) of a block of grid points for the CLI
+    `model`: `block` maps "theta" and parameter names to float64 columns of
+    one length, an absent parameter being 0.
 
     PT5 points are classified together (`_pt5_verdicts`); one point alone
     is what `classify_region` computes.  When a block fails, its points are
@@ -652,56 +738,68 @@ def classify_points(model, block):
     point, as in a point-by-point run.  Toy and general-coeffs points are
     computed one by one.
     """
-    if model == "toy":
-        return [_toy_cells(p) for p in block]
-    if model == "general-coeffs":
-        return [_coeffs_cells(p) for p in block]
+    if model in ("toy", "general-coeffs"):
+        point = _toy_point if model == "toy" else _coeffs_point
+        names = list(block)
+        return _map_cells(block["theta"], [
+            point(dict(zip(names, values)))
+            for values in zip(*(block[k].tolist() for k in names))])
     try:
         return _pt5_cells(model, block)
     except (ValueError, ArithmeticError):
-        for p in block:
-            _pt5_cells(model, [p])
+        for i in range(len(block["theta"])):
+            _pt5_cells(model, {k: c[i:i + 1] for k, c in block.items()})
         raise
 
 
 def _pt5_cells(model, block):
-    mu = Mu(*(np.array([p.get(k, 0.0) for p in block], dtype=float)
-              for k in MU_NAMES))
-    theta = np.array([p["theta"] for p in block], dtype=float)
+    theta = block["theta"]
+    zero = np.zeros(len(theta))
+    mu = Mu(*(block.get(k, zero) for k in MU_NAMES))
     mode = "special" if model == "pt5-special" else "general"
-    cells = []
     with np.errstate(all="ignore"):   # inf and nan, as in float arithmetic
-        for th, mu1, mu5, mu6, (phase, _, m1, m2, lam) in zip(
-                theta.tolist(), mu.mu1.tolist(), mu.mu5.tolist(),
-                mu.mu6.tolist(), _pt5_verdicts(mode, mu, theta)):
-            if lam is None:
-                cells.append((th, None, None, None, None, phase, m1, m2))
-            else:
-                cells.append((th, lam.real, lam.imag,
-                              _rho(mu1, mu5, mu6, lam), 0.0, phase, m1, m2))
-    return cells
+        v = _pt5_verdicts(mode, mu, theta)
+    m = v.mapped
+    rho = np.zeros(len(theta), dtype=complex)
+    # _rho stays in cmath, point by point, for the reason arccoth does
+    rho[m] = list(map(_rho, mu.mu1[m].tolist(), mu.mu5[m].tolist(),
+                      mu.mu6[m].tolist(), v.lam[m].tolist()))
+    return Cells(theta, v.lam, rho, zero, _PHASES[v.why].tolist(), v.margin1,
+                 np.broadcast_to(v.margin2, theta.shape), m)
 
 
-def _toy_cells(p):
-    theta, mu1 = p["theta"], p["mu1"]
+def _toy_point(p):
+    """(phase, margin, Dyson map or None) of a toy grid point."""
     mu3, mu4 = p.get("mu3", 0.0), p.get("mu4", 0.0)
     margin = abs(mu3 / mu4) - 1 if mu4 != 0 else math.nan
     if mu4 == 0 or abs(margin) <= BOUNDARY_TOL:
-        return (theta, None, None, None, None, BOUNDARY, margin, None)
-    params = toy_dyson_params(mu1, mu4, toy_lambda(mu3, mu4), theta)
-    phase = SYMMETRIC if margin > 0 else BROKEN
-    return (theta, params.lam.real, params.lam.imag, params.rho, params.tau,
-            phase, margin, None)
+        return BOUNDARY, margin, None
+    params = toy_dyson_params(p["mu1"], mu4, toy_lambda(mu3, mu4), p["theta"])
+    return SYMMETRIC if margin > 0 else BROKEN, margin, params
 
 
-def _coeffs_cells(p):
-    theta = p["theta"]
-    params, residual = solve_generic_numeric(coeffs_from_values(p), theta)
-    # a failed search is no proof of the broken phase
+def _coeffs_point(p):
+    """(phase, margin, Dyson map) of a general-coeffs grid point."""
+    params, residual = solve_generic_numeric(coeffs_from_values(p), p["theta"])
+    # a failed search is no proof of the broken phase; the margin is the
+    # certificate residual's distance from its threshold
     phase = SYMMETRIC if residual <= CERT_TOL else UNRESOLVED
-    # margin: distance of the certificate residual from its threshold
-    return (theta, params.lam.real, params.lam.imag, params.rho, params.tau,
-            phase, CERT_TOL - residual, None)
+    return phase, CERT_TOL - residual, params
+
+
+def _map_cells(theta, points):
+    """The Cells of points given as (phase, margin1, Dyson map or None),
+    with no second margin."""
+    phases, margins, maps = zip(*points)
+
+    def column(name, dtype):
+        return np.array([0.0 if p is None else getattr(p, name) for p in maps],
+                        dtype=dtype)
+
+    return Cells(theta, column("lam", complex), column("rho", complex),
+                 column("tau", float), list(phases),
+                 np.array(margins, dtype=float), None,
+                 np.array([p is not None for p in maps]))
 
 
 def coeffs_from_values(values):

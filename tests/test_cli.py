@@ -2,9 +2,11 @@ import argparse
 import json
 import math
 
+import numpy as np
 import pytest
 
-from deformed_e2 import cli
+import pt5_reference
+from deformed_e2 import cli, models
 
 MU3_SWEEP = "configs/classify_mu3_sweep.json"
 THETA_SWEEP = "configs/classify_theta_sweep.json"
@@ -343,7 +345,7 @@ def test_blocks_keep_the_bytes_of_a_point_by_point_run(tmp_path,
     real = cli.classify_points
 
     def recording(model, block):
-        sizes.append(len(block))
+        sizes.append(len(block["theta"]))
         return real(model, block)
 
     monkeypatch.setattr(cli, "classify_points", recording)
@@ -359,6 +361,42 @@ def test_blocks_keep_the_bytes_of_a_point_by_point_run(tmp_path,
     assert len(text.splitlines()) == 602
     assert {"Symmetric", "Broken"} <= {row.split(",")[6]
                                        for row in text.splitlines()[1:]}
+
+
+def test_cell_lines_match_cell_by_cell_text():
+    # the column formatter against the one-cell-at-a-time text, on cells
+    # that print in unusual ways; 0.0 and -0.0 share a column, where a memo
+    # keyed by float value would merge them
+    above = math.nextafter(1e-12, 1.0)
+    values = [math.nan, math.inf, -math.inf, 5e-324, math.pi / 2, 0.0, -0.0,
+              1.0]
+    rho = [complex(1.5, 1e-12), complex(1.5, -1e-12), complex(1.5, above),
+           complex(-0.0, -above), complex(math.nan, 0.0),
+           complex(0.0, math.nan), complex(math.pi / 2, 0.0),
+           complex(5e-324, -0.0)]
+    cells = models.Cells(
+        theta=np.array(values),
+        lam=np.array([complex(a, b) for a, b in zip(values, values[::-1])]),
+        rho=np.array(rho), tau=np.array(values[::-1]),
+        verdict=["Symmetric", "Broken", "Boundary", "Unresolved"] * 2,
+        margin1=np.array(values), margin2=np.array([0.0, -0.0] * 4),
+        mapped=np.array([True, False, True, True, False, True, True, True]))
+    for margin2 in (cells.margin2, np.array(values), None):
+        block = cells._replace(margin2=margin2)
+        assert cli._cell_lines(block) == [
+            ",".join(map(pt5_reference.cell, row[1:])) + "\n"
+            for row in pt5_reference.rows(block)]
+    every = cells._replace(mapped=np.ones(8, dtype=bool))
+    assert cli._cell_lines(every) == [
+        ",".join(map(pt5_reference.cell, row[1:])) + "\n"
+        for row in pt5_reference.rows(every)]
+
+
+def test_negative_zero_theta_keeps_its_sign(capsys):
+    code, out = run(capsys, ["classify", "-c", MU3_SWEEP, "--set",
+                             "axes.0.steps=2", "--set", "theta=-0.0"])
+    assert code == 0
+    assert [row.split(",")[1] for row in out.splitlines()[1:]] == ["-0.0"] * 2
 
 
 def test_spectrum_fock_needs_positive_theta(tmp_path):

@@ -152,7 +152,20 @@ _OVERFLOW = "numeric failure: (34, 'Numerical result out of range')\n"
       'axes=[{"name": "mu5", "min": 0.5, "max": 1e300, "steps": 2}, '
       '{"name": "mu4", "min": 1, "max": 1e300, "steps": 2}]'],
      "numeric failure: non-finite mu3 condition coefficients\n"),
-], ids=["special", "deformed", "first-failure-in-row-order"])
+    # 1,600 points, whose first failing point lies in the second block:
+    # mu5 ** 2 overflows from row 358 on, and the deformed coefficients
+    # leave the float range from row 299 on
+    (["--set", 'model="pt5-special"', "--set",
+      'fixed={"mu1": 1, "mu2": 0, "mu3": 1, "mu4": 2, "mu6": 1, "mu8": 0}',
+      "--set", 'axes=[{"name": "mu5", "min": 1, "max": 6e154, '
+               '"steps": 1600}]'], _OVERFLOW),
+    (["--set", 'model="pt5-general"', "--set",
+      'fixed={"mu1": 1, "mu2": 0, "mu3": 1, "mu4": 2, "mu6": 1, "mu7": 0, '
+      '"mu8": 0, "mu9": 0}', "--set",
+      'axes=[{"name": "mu5", "min": 1, "max": 2.4e103, "steps": 1600}]'],
+     "numeric failure: non-finite mu3 condition coefficients\n"),
+], ids=["special", "deformed", "first-failure-in-row-order",
+        "special-second-block", "deformed-second-block"])
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_failing_grid_point_prints_no_rows(argv, err, workers, capsys):
     with warnings.catch_warnings():

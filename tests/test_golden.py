@@ -27,6 +27,7 @@ GOLDEN = TESTS / "golden"
 CASES = [("classify", "classify_mu3_sweep.csv"),
          ("classify", "classify_theta_sweep.csv"),
          ("classify", "classify_deformed_sweep.csv"),
+         ("classify", "classify_deformed_grid.csv"),
          ("ep", "ep_theta_sweep.json"),
          ("hermitize", "hermitize_special.json"),
          ("spectrum", "spectrum_toy.json"),
@@ -41,6 +42,16 @@ def test_config_output_matches_golden(command, golden, tmp_path):
     config = TESTS.parent / "configs" / f"{Path(golden).stem}.json"
     assert cli.main([command, "-c", str(config), "-o", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+def test_multi_block_golden_with_a_worker_pool(tmp_path):
+    # 1,600 rows in 7 blocks, mapped over two worker processes
+    out = tmp_path / "grid.csv"
+    config = TESTS.parent / "configs" / "classify_deformed_grid.json"
+    assert cli.main(["classify", "-c", str(config), "-o", str(out),
+                     "--workers", "2"]) == 0
+    assert out.read_bytes() == (GOLDEN / "classify_deformed_grid.csv"
+                                ).read_bytes()
 
 
 def test_verify_report_matches_golden(tmp_path):

@@ -47,6 +47,8 @@ from deformed_e2.models import (
     with_special_choice,
 )
 
+import pt5_reference
+
 HALF_LN2 = 0.34657359027997264
 HALF_LN3 = 0.5493061443340549
 
@@ -634,10 +636,15 @@ def test_complex_c1_is_unresolved_after_one_evaluation(monkeypatch):
     z = rng.uniform(-1.0, 1.0, 10) + 1j * rng.uniform(-1.0, 1.0, 10)
     values = {f"c{k + 1}": x.real for k, x in enumerate(z)}
     values.update({f"c{k + 1}_im": x.imag for k, x in enumerate(z)})
-    row, = classify_points("general-coeffs", [{**values, "theta": 0.9}])
+    cells = classify_points("general-coeffs", {
+        k: np.array([v]) for k, v in {**values, "theta": 0.9}.items()})
     assert len(calls) == 1
-    assert row[1:6] == (0.0, 0.0, 0.0, 0.0, "Unresolved")
-    assert row[6] == CERT_TOL - np.max(np.abs(constraint_residuals(z, 0.9)))
+    assert cells.mapped.tolist() == [True]
+    assert (cells.lam.tolist(), cells.rho.tolist(), cells.tau.tolist(),
+            cells.verdict) == ([0j], [0j], [0.0], ["Unresolved"])
+    assert cells.margin2 is None
+    assert cells.margin1[0] == CERT_TOL - np.max(np.abs(
+        constraint_residuals(z, 0.9)))
 
 
 def _counting_least_squares(monkeypatch):
@@ -711,8 +718,10 @@ def test_quintic_root_matches_dense_scan_and_brentq():
         first = next((b for a, b, fa, fb in zip(_SCAN, _SCAN[1:], vals,
                                                  vals[1:])
                       if a * b > 0 and fa * fb <= 0), None)
-        (root, miss), = models._deformed_mu3_roots(
-            [(mu, MuAbbrev.from_mu(mu), theta)])
+        column = Mu(*(np.array([x]) for x in vars(mu).values()))
+        (root,), (miss,) = models._deformed_mu3_roots(
+            column, MuAbbrev.from_mu(column), np.array([theta]))
+        root = None if math.isnan(root) else root
         if first is None:
             missed += root is None
             continue
@@ -789,10 +798,34 @@ def _same_cells(a, b):
     return [key(x) for x in a] == [key(x) for x in b]
 
 
+def _pow_traps(rng):
+    """Members whose squares Python's pow and numpy's x * x round apart:
+    mu5, mu6, and |mu5| + |mu6| (the quintic's noise term) alone."""
+    def trap(ok):
+        while True:
+            x = float(rng.uniform(-2.0, 2.0))
+            if ok(x):
+                return x
+
+    def split(x):
+        return x ** 2 != x * x
+
+    members = []
+    for theta in (0.0, 0.7, 3.1):
+        mu, _ = _random_deformed_member(rng)
+        members.append((replace(mu, mu5=trap(split)), theta))
+        members.append((replace(mu, mu6=trap(split)), theta))
+        mu5 = trap(lambda x: not split(x))
+        mu6 = trap(lambda x: not split(x) and split(abs(mu5) + abs(x)))
+        members.append((replace(mu, mu5=mu5, mu6=mu6), theta))
+    return members
+
+
 def _block_members(rng, model):
     """3,000 random members in three strata (deformed, theta = 0 and
-    mu5 = mu6 = 0), with the degenerate and close-root members, shuffled
-    so every block mixes them; special members drop mu7 and mu9."""
+    mu5 = mu6 = 0), with the degenerate, close-root and pow-trap members,
+    shuffled so every block mixes them; special members drop mu7 and
+    mu9."""
     members = []
     for k in range(3000):
         mu, theta = _random_deformed_member(rng)
@@ -806,6 +839,7 @@ def _block_members(rng, model):
     members.append(_CLOSE_ROOT_PAIR)
     # a 0/0 special ratio: Boundary with a NaN margin
     members.append((Mu(mu1=1.0, mu4=1.0, mu5=-2.0), 0.0))
+    members += _pow_traps(rng)
     points = []
     for i in rng.permutation(len(members)):
         mu, theta = members[i]
@@ -818,25 +852,56 @@ def _block_members(rng, model):
 
 @pytest.mark.parametrize("model", ["pt5-general", "pt5-special"])
 def test_blocks_match_one_point_calls(model):
-    # the blocks' column arithmetic and stacked eigvals against one point
-    # at a time, and against classify_region on the same member
+    # the blocks' column arithmetic and stacked eigvals against the scalar
+    # reference route, point by point, and classify_region against it
     points = _block_members(np.random.default_rng(22), model)
     mode = "special" if model == "pt5-special" else "general"
     cells = []
     for i in range(0, len(points), models.BLOCK_POINTS):
-        cells += classify_points(model, points[i:i + models.BLOCK_POINTS])
+        chunk = points[i:i + models.BLOCK_POINTS]
+        cells += pt5_reference.rows(classify_points(model, {
+            k: np.array([p[k] for p in chunk]) for k in chunk[0]}))
     assert len(cells) == len(points)
     phases = set()
     for p, row in zip(points, cells):
-        assert _same_cells(row, classify_points(model, [p])[0]), p
+        assert _same_cells(row, pt5_reference.cells(model, p)), p
         mu = Mu(**{k: v for k, v in p.items() if k != "theta"})
         if model == "pt5-special":
             mu = with_special_choice(mu)
         verdict = classify_region(mu, p["theta"], mode=mode)
-        lam = verdict.lam
-        assert _same_cells(row[1:3] + row[5:], (
-            None if lam is None else lam.real,
-            None if lam is None else lam.imag,
-            verdict.phase, verdict.margin1, verdict.margin2)), p
+        assert _same_cells(
+            (verdict.phase, verdict.witness, verdict.margin1,
+             verdict.margin2, verdict.lam),
+            pt5_reference.verdict(mode, mu, p["theta"])), p
         phases.add(verdict.phase)
     assert phases == {SYMMETRIC, BROKEN, BOUNDARY}
+
+
+# golden-sweep member of classify_deformed_sweep.json at mu3 = -4 and 0
+_SWEPT = Mu(1.0, 0.5, -4.0, -1.0, 0.5, 0.5, -0.5, 0.5, 0.25)
+
+
+@pytest.mark.parametrize("mode, mu, theta, witness", [
+    ("special", WORKED, 1.0, "|special coth ratio| = 0.5555555555555556"),
+    ("special", Mu(mu1=1.0, mu4=1.0, mu5=-2.0), 0.0,
+     "special coth ratio: zero denominator (lambda degenerates)"),
+    ("general", Mu(1.0, 0.0, 1.0, 2.0, 0.0, 0.0, 0.5, 0.5, 2.0), 0.0,
+     "violated: |mu78| >= |mu19|"),
+    ("general", Mu(1.0, 0.0, 1.0, 2.0, 0.0, 0.0, 2.0, 0.5, 0.5), 0.0,
+     "violated: |mu23| >= |mu24|"),
+    ("general", Mu(1.0, 0.0, 3.0, 2.0, 0.0, 0.0, 1.5, 0.5, 1.0), 0.0,
+     "first ratio at 1"),
+    ("general", Mu(1.0, 0.0, 2.0, 2.0, 0.0, 0.0, 2.0, 0.5, 0.5), 0.0,
+     "second ratio at 1"),
+    ("general", _SWEPT, 1.0, "both conditions hold"),
+    ("general", replace(_SWEPT, mu3=0.0), 1.0,
+     "violated: real lambda for mu3 condition"),
+    ("general", _DEGENERATE_MU3[0][0], 1.0, "mu3 condition grazes zero"),
+], ids=["special-ratio", "zero-denominator", "first-ratio", "second-ratio",
+        "first-at-1", "second-at-1", "mu3-root", "no-mu3-root", "graze"])
+def test_witness_names_the_deciding_branch(mode, mu, theta, witness):
+    verdict = classify_region(mu, theta, mode=mode)
+    assert verdict.witness == witness
+    if mu is _SWEPT:   # decided by the quintic's root
+        assert verdict.margin2 == 1.0 and verdict.lam.imag == 0.0
+    assert verdict.witness == pt5_reference.verdict(mode, mu, theta)[1]
