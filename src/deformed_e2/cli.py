@@ -248,6 +248,8 @@ def _axes(cfg, model):
             raise ConfigError(f"axes[{i}].steps must be an integer >= 2")
         lo = _number(ax.get("min"), f"axes[{i}].min")
         hi = _number(ax.get("max"), f"axes[{i}].max")
+        if not math.isfinite(hi - lo):
+            raise ConfigError(f"axes[{i}]: max - min overflows to {hi - lo!r}")
         sweeps.append((name, lo, hi, steps))
     total = math.prod(steps for *_, steps in sweeps)
     if total > MAX_GRID_POINTS:

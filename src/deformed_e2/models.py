@@ -393,12 +393,11 @@ def solve_pt5_special(mu, theta):
     params' reality flag.  Assumes the special choice is in force, otherwise
     the resulting map does not Hermitize the Hamiltonian.
     """
-    num, den = _special_ratio(mu, theta)
-    if den == 0:
+    ratio = _div(*_special_ratio(mu, theta))
+    if math.isnan(ratio):
         raise ZeroDivisionError(
             "special-choice coth ratio has zero denominator; "
             "lambda degenerates")
-    ratio = num / den
     lam = arccoth(ratio)
     rho = lam * (mu.mu5 - mu.mu6 * ratio) / (2 * mu.mu1)
     return DysonParams(lam, rho, 0.0, theta)
@@ -413,20 +412,23 @@ def _where(cond, a, b):
 
 
 def _div(num, den):
-    """num / den, NaN where den = 0 (where a float division raises)."""
+    """num / den, NaN where den = 0 or the quotient is not finite."""
     if isinstance(den, np.ndarray):
-        return np.where(den == 0, math.nan, num / den)
-    return num / den if den != 0 else math.nan
+        q = num / den
+        return np.where(np.isfinite(q), q, math.nan)
+    q = num / den if den != 0 else math.nan
+    return q if math.isfinite(q) else math.nan
 
 
 def _ratio_test(num, den):
-    """(margin, at_boundary) for an |num| >= |den| inequality.
+    """(margin, at_boundary, `_div(num, den)`) of an |num| >= |den| test.
 
     A zero denominator never flags Boundary: 0/0 means the constraint is
     vacuous (satisfied with zero margin, lambda unconstrained by it) and
     |num| >= 0 with num != 0 is strictly satisfied.
     """
-    return abs(num) - abs(den), abs(abs(_div(num, den)) - 1) <= BOUNDARY_TOL
+    ratio = _div(num, den)
+    return abs(num) - abs(den), abs(abs(ratio) - 1) <= BOUNDARY_TOL, ratio
 
 
 def _arccoths(mask, x):
@@ -470,9 +472,9 @@ def _unit_roots(c):
 
 
 def _mu3_quintics(mu, ab, theta):
-    """(R, size, e) of the deformed mu3 condition of each member (see
+    """(R, e) of the deformed mu3 condition of each member (see
     `_deformed_mu3_roots`): the coefficients of R ascending, a row per
-    member padded with zeros past its `size`, and e, a row per member."""
+    member padded with zeros (R = 0 a row of zeros), and e, a row each."""
     a0, a1 = -mu.mu1 * ab.mu24, 2 * mu.mu1 * ab.mu23
     g, h, c = theta * mu.mu6, -2 * theta * mu.mu5, ab.mu19 / 2
     d = ab.mu68 - 2 * ab.mu78   # L = g + h t + g t^2, Q = -mu68 + 3c t + ...
@@ -488,21 +490,19 @@ def _mu3_quintics(mu, ab, theta):
                              + (abs(ab.mu78 - s * ab.mu19) <= noise))
                   for s in (1.0, -1.0)], axis=1)
     e = np.concatenate([np.full((len(r), 1), -1), k - 1], axis=1)
-    size = np.full(len(r), r.shape[1])
-    # the rare members with an exact factor t - s or a zero R(0), one by one
-    for i in np.flatnonzero(k.any(axis=1) | (r[:, 0] == 0)).tolist():
-        row = r[i].tolist()
-        for s, count in zip((1.0, -1.0), k[i].tolist()):
-            for _ in range(count):
-                q = [row[-1]]   # synthetic division; the remainder is rounding
-                for x in row[-2:0:-1]:
-                    q.append(x + s * q[-1])
-                row = q[::-1]
-        while row and row[0] == 0:
-            row, e[i, 0] = row[1:], e[i, 0] + 1
-        size[i] = len(row)
-        r[i] = row + [0.0] * (r.shape[1] - len(row))
-    return r, size, e
+    for j, s in enumerate((1.0, -1.0)):
+        for count in range(1, k[:, j].max() + 1):
+            # synthetic division by t - s; the remainder is rounding, and a
+            # row padded with zeros divides as the row alone (up to -0.0)
+            i = np.flatnonzero(k[:, j] >= count)
+            q = r[i]
+            for x in range(4, 0, -1):
+                q[:, x] += s * q[:, x + 1]
+            r[i, :-1], r[i, -1] = q[:, 1:], 0.0
+    # the factors t: a row with R(0) = 0 but R != 0 shifts down a degree
+    while (i := np.flatnonzero((r[:, 0] == 0) & r.any(axis=1))).size:
+        r[i, :-1], r[i, -1], e[i, 0] = r[i, 1:], 0.0, e[i, 0] + 1
+    return r, e
 
 
 def _polished_root(f, t):
@@ -527,8 +527,8 @@ def _polished_root(f, t):
 
 def _least_abs_f(r, e, mu1, ts):
     """inf |F| of a member without real roots: the least |F| over the
-    critical points `ts` in t and the limits t = 0, 1, -1 that F keeps.
-    Scalar: `t ** j` is libm's pow, which numpy's power is not."""
+    critical points `ts` in t and the limits t = 0, 1, -1 that F keeps, the
+    padding of `r` adding zeros.  Scalar: numpy's power is not libm's pow."""
     def f_of_t(t):
         return (-sum(x * t ** j for j, x in enumerate(r)) * t ** e[0]
                 * (t - 1) ** e[1] * (t + 1) ** e[2] / (2 * mu1))
@@ -555,11 +555,9 @@ def _deformed_mu3_roots(mu, ab, theta):
     root, then the roots of the critical-point polynomials of the rootless
     members.
     """
-    r, size, e = _mu3_quintics(mu, ab, theta)
-    # R = 0: F vanishes identically and every lam solves
-    lam = np.where(size == 0, -1.0, math.nan)
-    miss = np.zeros(len(lam))
-    live = np.flatnonzero(size)
+    r, e = _mu3_quintics(mu, ab, theta)
+    lam, miss = np.where(r.any(axis=1), math.nan, -1.0), np.zeros(len(r))
+    live = np.flatnonzero(np.isnan(lam))   # R = 0: every lam solves F = 0
     roots = _unit_roots(r[live])
     first = np.where(np.isnan(roots) | (roots == 0), np.inf, roots).min(axis=1)
     wet, dry = live[first < np.inf], live[first == np.inf]
@@ -577,10 +575,10 @@ def _deformed_mu3_roots(mu, ab, theta):
         crit = ((j - 2 + ed.sum(axis=1, keepdims=True)) * rp[:, :-2]
                 + (ed[:, 1:2] - ed[:, 2:]) * rp[:, 1:-1]
                 - (ed[:, :1] + j) * rp[:, 2:])
-        for k, rk, n, ek, mu1, ts in zip(
-                dry.tolist(), rd.tolist(), size[dry].tolist(), ed.tolist(),
-                mu.mu1[dry].tolist(), _unit_roots(crit).tolist()):
-            miss[k] = _least_abs_f(rk[:n], ek, mu1,
+        for k, rk, ek, mu1, ts in zip(
+                dry.tolist(), rd.tolist(), ed.tolist(), mu.mu1[dry].tolist(),
+                _unit_roots(crit).tolist()):
+            miss[k] = _least_abs_f(rk, ek, mu1,
                                    sorted(t for t in ts if t == t))
     return lam, miss
 
@@ -627,10 +625,9 @@ def _pt5_verdicts(mode, mu, theta):
     least |F|.  A deformed point alone is classified as a block of one.
     """
     if mode == "special":
-        num, den = _special_ratio(mu, theta)
-        ratio = _div(num, den)
+        ratio = _div(*_special_ratio(mu, theta))
         margin = abs(ratio) - 1
-        zero = den == 0
+        zero = ratio != ratio   # NaN: den = 0, or the ratio overflows
         # _BRANCHES 0: zero denominator, 1: |ratio| at 1, 2 and 3: ratio
         why = _where(zero | (abs(margin) <= BOUNDARY_TOL), 1 - zero,
                      3 - (margin > 0))
@@ -653,11 +650,11 @@ def _pt5_verdicts(mode, mu, theta):
                          complex(v.lam[0]) if mapped else None, mapped, None)
 
     ab = MuAbbrev.from_mu(mu)
-    m1, b1 = _ratio_test(ab.mu78, ab.mu19)
-    m2, b2 = _ratio_test(ab.mu23, ab.mu24)
+    m1, b1, _ = _ratio_test(ab.mu78, ab.mu19)
+    m2, b2, ratio = _ratio_test(ab.mu23, ab.mu24)
     mapped = _where(deformed, False,
-                    (ab.mu24 != 0) & (abs(ab.mu23) != abs(ab.mu24)))
-    lam = _arccoths(mapped, _div(ab.mu23, ab.mu24))
+                    (ratio == ratio) & (abs(ab.mu23) != abs(ab.mu24)))
+    lam = _arccoths(mapped, ratio)
     graze = False
     if isinstance(deformed, np.ndarray) and deformed.any():
         d = np.flatnonzero(deformed)

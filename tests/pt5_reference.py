@@ -134,7 +134,8 @@ def verdict(mode, mu, theta):
     """(phase, witness, margin1, margin2, lam) of one point, in floats."""
     if mode == "special":
         num, den = _special_ratio(mu, theta)
-        if den == 0:
+        # a ratio past the float range counts as a zero denominator
+        if den == 0 or not math.isfinite(num / den):
             return (BOUNDARY, "special coth ratio: zero denominator "
                     "(lambda degenerates)", math.nan, math.nan, None)
         ratio = num / den
@@ -151,7 +152,8 @@ def verdict(mode, mu, theta):
         m2, b2 = _ratio_test(ab.mu23, ab.mu24)
         name2 = "|mu23| >= |mu24|"
         lam = None
-        if ab.mu24 != 0 and abs(ab.mu23) != abs(ab.mu24):
+        if (ab.mu24 != 0 and abs(ab.mu23) != abs(ab.mu24)
+                and math.isfinite(ab.mu23 / ab.mu24)):
             lam = arccoth(ab.mu23 / ab.mu24)
     else:
         name2 = "real lambda for mu3 condition"

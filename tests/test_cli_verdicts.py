@@ -177,16 +177,21 @@ def test_failing_grid_point_prints_no_rows(argv, err, workers, capsys):
     assert captured.err == err
 
 
+@pytest.fixture
+def no_linspace(monkeypatch):
+    """Fails the test if the CLI builds a grid axis."""
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the grid was built")
+    monkeypatch.setattr(cli.np, "linspace", no_grid)
+
+
 @pytest.mark.parametrize("axes", [
     [{"name": "mu3", "min": 0.0, "max": 1.0, "steps": 10 ** 18}],
     [{"name": "mu3", "min": 0.0, "max": 1.0, "steps": 1001},
      {"name": "theta", "min": 0.0, "max": 1.0, "steps": 1000}],
 ])
 def test_oversized_grid_is_rejected_before_allocation(axes, capsys,
-                                                      monkeypatch):
-    def no_grid(*args, **kwargs):
-        raise AssertionError("the grid was built")
-    monkeypatch.setattr(cli.np, "linspace", no_grid)
+                                                      no_linspace):
     code = cli.main(["classify", "-c", "configs/classify_mu3_sweep.json",
                      "--set", "axes=" + json.dumps(axes)])
     captured = capsys.readouterr()
@@ -199,6 +204,57 @@ def test_grid_at_the_limit_is_accepted():
             {"name": "theta", "min": 0.0, "max": 1.0, "steps": 1000}]
     parsed = cli._axes({"axes": axes}, "pt5-general")
     assert [len(values) for _, values in parsed] == [1000, 1000]
+
+
+@pytest.mark.parametrize("config, name", [
+    ("configs/classify_mu3_sweep.json", "mu3"),
+    ("configs/classify_theta_sweep.json", "theta"),
+], ids=["mu3", "theta"])
+def test_overflowing_axis_span_is_rejected_before_allocation(
+        config, name, capsys, no_linspace):
+    # both ends are finite, but max - min is not: linspace would print
+    # RuntimeWarnings and fill the grid with inf and nan
+    axes = [{"name": name, "min": -1.7e308, "max": 1.7e308, "steps": 3}]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["classify", "-c", config,
+                         "--set", "axes=" + json.dumps(axes)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("config error: axes[0]: max - min overflows to "
+                            "inf\n")
+
+
+_SPECIAL_MU4 = ["--set", 'model="pt5-special"',
+                "--set", 'fixed={"mu1": 1, "mu3": 1, "mu4": MU4}']
+_DEGENERATE = ("numeric failure: special-choice coth ratio has zero "
+               "denominator; lambda degenerates\n")
+
+
+# mu4 = 1e-320 is nonzero, but the coth ratios mu23/mu24 and the special
+# one overflow to inf; they count as a zero denominator, as at mu4 = 0
+@pytest.mark.parametrize("mu4", ["1e-320", "0"])
+@pytest.mark.parametrize("argv, code, out, err", [
+    (["classify", *_SPECIAL_MU4, "--set",
+      'axes=[{"name": "theta", "min": 0, "max": 1, "steps": 2}]'], 0,
+     "theta,lambda_re,lambda_im,rho,tau,verdict,margin_ineq1,margin_ineq2\n"
+     "0.0,,,,,Boundary,nan,nan\n1.0,,,,,Boundary,nan,nan\n", ""),
+    (["classify", "-c", "configs/classify_mu3_sweep.json",
+      "--set", "fixed.mu4=MU4", "--set",
+      'axes=[{"name": "mu3", "min": 0.5, "max": 2, "steps": 2}]'], 0,
+     "mu3,theta,lambda_re,lambda_im,rho,tau,verdict,margin_ineq1,"
+     "margin_ineq2\n0.5,1.0,,,,,Symmetric,0.0,0.5\n"
+     "2.0,1.0,,,,,Symmetric,0.0,2.0\n", ""),
+    (["hermitize", *_SPECIAL_MU4], 3, "", _DEGENERATE),
+    (["spectrum", *_SPECIAL_MU4, "--set", 'hamiltonian="h"'], 3, "",
+     _DEGENERATE),
+], ids=["special-classify", "general-classify", "hermitize", "spectrum-h"])
+def test_overflowing_coth_ratio_is_a_zero_denominator(argv, code, out, err,
+                                                      mu4, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main([a.replace("MU4", mu4) for a in argv]) == code
+    assert capsys.readouterr() == (out, err)
 
 
 @pytest.mark.parametrize("argv", [

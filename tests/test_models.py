@@ -821,11 +821,55 @@ def _pow_traps(rng):
     return members
 
 
+def _q_factor(mu, s, ulps):
+    """`mu` with mu7 and mu8 set so that mu78 = mu8 = s mu19 exactly, then
+    mu8 moved `ulps` steps of its last bit up, inside the quintic's
+    rounding noise."""
+    mu = replace(mu, mu7=(mu.mu5 ** 2 + mu.mu6 ** 2) / (4 * mu.mu1))
+    mu8 = s * MuAbbrev.from_mu(mu).mu19
+    for _ in range(ulps):
+        mu8 = math.nextafter(mu8, math.inf)
+    return replace(mu, mu8=mu8)
+
+
+def _factor_stratum(rng):
+    """Deformed members whose quintic has exact factors t - s, k(s) of them
+    for s = +-1 (see `pt5_reference.mu3_quintic`): mu6 = s mu5 puts two in
+    L, mu3 = s mu4 on top makes mu23 = s mu24, mu78 = s mu19 puts one in Q,
+    and mu6 = 0 with mu4 = -mu5/2 makes mu24 and R(0) zero."""
+    members = []
+    for _ in range(8):
+        mu, theta = _random_deformed_member(rng)
+        for s in (1.0, -1.0):
+            on_l = replace(mu, mu6=s * mu.mu5)
+            on_a = replace(on_l, mu3=s * on_l.mu4)
+            members += [(m, theta) for m in (
+                on_l, on_a, _q_factor(on_a, s, 0), _q_factor(mu, s, 0),
+                _q_factor(mu, s, 2))]
+        members.append((replace(mu, mu6=0.0, mu4=-mu.mu5 / 2), theta))
+    return members
+
+
+def _factor_classes(mu, theta):
+    """The exact-factor classes of a deformed member's quintic by the
+    reference route: ("k", s, k(s)) for each k(s) > 0, ("Q", s, exact) for
+    a factor of Q alone, "R = 0" and "R(0) = 0"."""
+    ab = MuAbbrev.from_mu(mu)
+    r, e = pt5_reference.mu3_quintic(mu, ab, theta)
+    classes = {"R = 0"} if not r else {"R(0) = 0"} if e[0] >= 0 else set()
+    for s, k in zip((1.0, -1.0), (e[1] + 1, e[2] + 1)):
+        if k:
+            classes.add(("k", s, k))
+        if k and mu.mu6 != s * mu.mu5:
+            classes.add(("Q", s, ab.mu78 == s * ab.mu19))
+    return classes
+
+
 def _block_members(rng, model):
     """3,000 random members in three strata (deformed, theta = 0 and
-    mu5 = mu6 = 0), with the degenerate, close-root and pow-trap members,
-    shuffled so every block mixes them; special members drop mu7 and
-    mu9."""
+    mu5 = mu6 = 0), with the exact-factor stratum and the degenerate,
+    close-root, overflowing-ratio and pow-trap members, shuffled so every
+    block mixes them; special members drop mu7 and mu9."""
     members = []
     for k in range(3000):
         mu, theta = _random_deformed_member(rng)
@@ -839,7 +883,10 @@ def _block_members(rng, model):
     members.append(_CLOSE_ROOT_PAIR)
     # a 0/0 special ratio: Boundary with a NaN margin
     members.append((Mu(mu1=1.0, mu4=1.0, mu5=-2.0), 0.0))
-    members += _pow_traps(rng)
+    # coth ratios mu23/mu24 and the special one past the float range
+    members += [(Mu(mu1=1.0, mu3=1.0, mu4=1e-320), theta)
+                for theta in (0.0, 1.0)]
+    members += _pow_traps(rng) + _factor_stratum(rng)
     points = []
     for i in rng.permutation(len(members)):
         mu, theta = members[i]
@@ -862,10 +909,16 @@ def test_blocks_match_one_point_calls(model):
         cells += pt5_reference.rows(classify_points(model, {
             k: np.array([p[k] for p in chunk]) for k in chunk[0]}))
     assert len(cells) == len(points)
-    phases = set()
-    for p, row in zip(points, cells):
+    phases, classes, factored = set(), set(), set()
+    for i, (p, row) in enumerate(zip(points, cells)):
         assert _same_cells(row, pt5_reference.cells(model, p)), p
         mu = Mu(**{k: v for k, v in p.items() if k != "theta"})
+        if model == "pt5-general" and p["theta"] != 0 and (
+                mu.mu5 != 0 or mu.mu6 != 0):
+            found = _factor_classes(mu, p["theta"])
+            classes |= found
+            if found:
+                factored.add(i // models.BLOCK_POINTS)
         if model == "pt5-special":
             mu = with_special_choice(mu)
         verdict = classify_region(mu, p["theta"], mode=mode)
@@ -875,6 +928,11 @@ def test_blocks_match_one_point_calls(model):
             pt5_reference.verdict(mode, mu, p["theta"])), p
         phases.add(verdict.phase)
     assert phases == {SYMMETRIC, BROKEN, BOUNDARY}
+    if model == "pt5-general":
+        assert classes == {"R = 0", "R(0) = 0"} | {
+            ("k", s, k) for s in (1.0, -1.0) for k in (1, 2, 3)} | {
+            ("Q", s, exact) for s in (1.0, -1.0) for exact in (True, False)}
+        assert factored == set(range(-(-len(points) // models.BLOCK_POINTS)))
 
 
 # golden-sweep member of classify_deformed_sweep.json at mu3 = -4 and 0
