@@ -205,7 +205,10 @@ def _model_values(cfg, model, command, swept=None):
                           "fixed.mu3")
     if toy_lam and values.get("lam") == 0:
         raise ConfigError("toy lam must be nonzero")
-    if toy_lam and "mu3" in values and values.get("mu4", 0.0) == 0:
+    # a mu4 so small that mu3/mu4 overflows counts as 0, as in classify
+    mu4 = values.get("mu4", 0.0)
+    if toy_lam and "mu3" in values and (
+            mu4 == 0 or math.isinf(values["mu3"] / mu4)):
         raise ConfigError("toy mu3 needs a nonzero mu4: "
                           "lam = 2 arccoth(mu3/mu4)")
     if model == "general-coeffs":
@@ -278,6 +281,42 @@ def _emit(text, output):
 
 def _json_text(obj):
     return json.dumps(obj, indent=2) + "\n"
+
+
+# json's spellings of the non-finite floats, keyed by their repr
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_EIGENVALUE_ITEM = ('\n    {\n      "re": %s,\n      "im": %s,\n'
+                    '      "converged": %s\n    }')
+
+
+def _json_float(x):
+    """A float as `json` writes it: its repr, or NaN, Infinity, -Infinity."""
+    text = repr(x)
+    return _JSON_NONFINITE.get(text, text)
+
+
+def _eigenvalues_json(values, flags):
+    """The list of {re, im, converged} objects of a spectrum document, as
+    JSON text that `_json_doc` writes at the top level: the bytes of
+    `_json_text`, without the pure-Python encoder that `indent` selects."""
+    if not values:
+        return "[]"
+    return "[" + ",".join(
+        _EIGENVALUE_ITEM % (_json_float(z.real), _json_float(z.imag),
+                            "true" if f else "false")
+        for z, f in zip(values, flags)) + "\n  ]"
+
+
+def _json_doc(doc, raw):
+    """`_json_text(doc)`, except that the value of each key in `raw` is
+    JSON text already and is written as it stands.  Every other value is
+    dumped on its own and indented one level; `json` writes no raw line
+    break inside a value."""
+    items = (f"  {json.dumps(key)}: "
+             + (value if key in raw
+                else json.dumps(value, indent=2).replace("\n", "\n  "))
+             for key, value in doc.items())
+    return "{\n" + ",\n".join(items) + "\n}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -483,8 +522,7 @@ def cmd_spectrum(cfg):
                            else dims,
                            "delta": delta, "j0": j0},
         "hamiltonian": which,
-        "eigenvalues": [{"re": z.real, "im": z.imag, "converged": f}
-                        for z, f in zip(report.eigenvalues, report.flags)],
+        "eigenvalues": _eigenvalues_json(report.eigenvalues, report.flags),
         "verdict": report.verdict,
         "pairs": report.pairs,
         "diagnostic": report.diagnostic,
@@ -499,7 +537,7 @@ def cmd_spectrum(cfg):
              "paper": toy_spectrum(mu1, eps, n, "paper")}
             for n in range(-nmax, nmax + 1)
         ]
-    _emit(_json_text(doc), cfg.get("output"))
+    _emit(_json_doc(doc, raw=("eigenvalues",)), cfg.get("output"))
     return 0
 
 

@@ -768,8 +768,9 @@ def _pt5_cells(model, block):
 def _toy_point(p):
     """(phase, margin, Dyson map or None) of a toy grid point."""
     mu3, mu4 = p.get("mu3", 0.0), p.get("mu4", 0.0)
-    margin = abs(mu3 / mu4) - 1 if mu4 != 0 else math.nan
-    if mu4 == 0 or abs(margin) <= BOUNDARY_TOL:
+    # a quotient that overflows counts as mu4 = 0, as in the PT5 ratios
+    margin = abs(_div(mu3, mu4)) - 1
+    if math.isnan(margin) or abs(margin) <= BOUNDARY_TOL:
         return BOUNDARY, margin, None
     params = toy_dyson_params(p["mu1"], mu4, toy_lambda(mu3, mu4), p["theta"])
     return SYMMETRIC if margin > 0 else BROKEN, margin, params

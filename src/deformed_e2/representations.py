@@ -27,8 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.linalg import eigvals as eig
+from numpy.linalg import eigvalsh
 
-from .algebra import OperatorPoly
+from .algebra import OperatorPoly, dagger
 from .lazy import expm
 
 # Rows/columns this close to the truncation edge are excluded from
@@ -375,7 +376,12 @@ def diagonalize_classify(p, rep, delta=None):
 
     Fock and planar (size >= 16): diagonalizes again with the truncation
     enlarged by `delta` (default: a quarter) and judges the two spectra by
-    `truncation_report`; each matrix goes to `eig` through `real_gauge`.
+    `truncation_report`; each matrix goes through `real_gauge`.  A p that
+    is exactly its own adjoint (p == dagger(p)) takes `eigvalsh` of the
+    Hermitian part (m + m^H) / 2 of each gauged matrix, every other p
+    `eig`.  On fock the Hermitian part is m up to rounding; on planar it
+    is a second truncation of the same operator, which differs from m only
+    in the edge rows that the truncated ladder commutator spoils.
     Circle: the matrix is diagonal, all exact, both tolerances
     1e-12 max(1, radius).
     """
@@ -385,10 +391,15 @@ def diagonalize_classify(p, rep, delta=None):
     if rep.size < 16:
         raise ValueError("matrix size below 16 is all edge, no interior")
     big = enlarged_representation(rep, delta)
+    hermitian = p == dagger(p)
+
+    def spectrum(r):
+        m = real_gauge(poly_to_matrix(p, r), r)
+        return eigvalsh((m + m.conj().T) / 2) if hermitian else eig(m)
+
     # an overflowing matrix is built silently and fails in `eig`
     with np.errstate(over="ignore", invalid="ignore"):
-        e1, e2 = (eig(real_gauge(poly_to_matrix(p, r), r))
-                  for r in (rep, big))
+        e1, e2 = spectrum(rep), spectrum(big)
     return truncation_report(e1, e2)
 
 

@@ -681,6 +681,47 @@ def _real_gauge_route(fault):
         f"{same}, worst relative converged deviation {worst:.3e}")
 
 
+@_register("spectral", "Hermitian route vs eig route")
+def _hermitian_route(fault):
+    # two Hermitian counterparts h, which `diagonalize_classify` hands to
+    # eigvalsh, against eig of the same two real-gauged truncations: the
+    # worked member on fock and a member on the planar grid whose matrix
+    # needs no edge rows symmetrized.  (Complex eig of the ungauged planar
+    # matrices changes its last bits with the BLAS thread count; the
+    # check above pins the gauge.)  Control: h + 0.1i J is not its own
+    # adjoint, takes eig, and keeps the eig route's eigenvalues exactly
+    hh = hermitian_counterpart_pt5(_WORKED_MU, 12.0)
+    fock = make_representation("fock", 12.0, 60)
+    cases = ((hh, fock, 15),
+             (hermitian_counterpart_pt5(with_special_choice(
+                 Mu(mu1=1.0, mu3=2.0, mu4=1.0)), 2.0),
+              make_representation("planar", 2.0, (10, 10)), None))
+    same = True
+    worst = 0.0
+    summary = []
+    for p, rep, delta in cases:
+        reps = (rep, enlarged_representation(rep, delta))
+        got = diagonalize_classify(p, rep, delta)
+        want = truncation_report(*(eig(real_gauge(poly_to_matrix(p, r), r))
+                                   for r in reps))
+        same = (same and p == dagger(p) and got.flags == want.flags
+                and (got.verdict, got.pairs) == (want.verdict, want.pairs))
+        for a, b in zip(got.converged, want.converged):
+            worst = max(worst, abs(a - b) / abs(b))
+        summary.append(f"{rep.kind}: {got.verdict}, "
+                       f"{len(got.converged)} converged")
+    control = hh + OperatorPoly({(0, 0, 1): 0.1j}, 12.0)
+    reps = (fock, enlarged_representation(fock, 15))
+    eig_kept = (control != dagger(control)
+                and diagonalize_classify(control, fock, 15).eigenvalues
+                == truncation_report(*(eig(poly_to_matrix(control, r))
+                                       for r in reps)).eigenvalues)
+    return same and eig_kept and worst < 1e-10, (
+        f"{'; '.join(summary)}; same flags and verdicts: {same}, worst "
+        f"relative converged deviation {worst:.3e}; h + 0.1i J keeps the "
+        f"eig eigenvalues: {eig_kept}")
+
+
 SUITES = tuple(dict.fromkeys(check.suite for check in CHECKS))
 
 

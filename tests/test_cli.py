@@ -302,6 +302,40 @@ def test_spectrum_fock_conjugate_pairs(capsys):
     assert doc["pairs"] >= 1
 
 
+def _spectrum_doc(eigenvalues, flags, conventions):
+    """A spectrum document as cmd_spectrum builds it, its eigenvalues as
+    `_json_text` would write them."""
+    doc = {"model": "toy", "params": {"mu1": 1.0, "theta": 0.1},
+           "representation": {"kind": "circle", "dims": 3, "delta": None},
+           "hamiltonian": "h",
+           "eigenvalues": [{"re": z.real, "im": z.imag, "converged": f}
+                           for z, f in zip(eigenvalues, flags)],
+           "verdict": "AllReal", "pairs": 0, "diagnostic": ""}
+    if conventions:
+        doc["conventions"] = [{"n": n, "oracle": n * n - 0.5 * n,
+                               "paper": math.inf if n else -0.0}
+                              for n in (-1, 0, 1)]
+    return doc
+
+
+@pytest.mark.parametrize("values", [
+    [], [-0.0], [5e-324], [math.nan], [math.inf, -math.inf],
+    [complex(x, y) for x in (-0.0, 5e-324, math.nan, math.inf, -math.inf)
+     for y in (0.0, -0.0, 1e300, -math.inf, math.nan)],
+], ids=["empty", "negative-zero", "subnormal", "nan", "infinities",
+        "complex-grid"])
+@pytest.mark.parametrize("conventions", [False, True],
+                         ids=["no-conventions", "conventions-after"])
+def test_spectrum_json_writer_keeps_the_bytes_of_json(values, conventions):
+    values = [complex(z) for z in values]
+    flags = [k % 3 != 1 for k in range(len(values))]
+    doc = _spectrum_doc(values, flags, conventions)
+    text = cli._json_doc({**doc, "eigenvalues":
+                          cli._eigenvalues_json(values, flags)},
+                         raw=("eigenvalues",))
+    assert text == cli._json_text(doc)
+
+
 def test_spectrum_toy_needs_exactly_one_of_lam_mu3(tmp_path):
     cfg = write_config(tmp_path, "toy.json", {
         "model": "toy", "theta": 0.1, "hamiltonian": "h",
@@ -320,7 +354,10 @@ def test_spectrum_toy_needs_exactly_one_of_lam_mu3(tmp_path):
     ({"mu1": 1, "mu3": 1},
      "toy mu3 needs a nonzero mu4: lam = 2 arccoth(mu3/mu4)"),
     ({"mu1": 1, "mu4": 1, "lam": 0}, "toy lam must be nonzero"),
-], ids=["mu4-zero", "mu4-absent", "lam-zero"])
+    # mu3/mu4 overflows to inf, which counts as mu4 = 0
+    ({"mu1": 1, "mu3": 1, "mu4": 1e-320},
+     "toy mu3 needs a nonzero mu4: lam = 2 arccoth(mu3/mu4)"),
+], ids=["mu4-zero", "mu4-absent", "lam-zero", "mu3-over-mu4-overflows"])
 def test_toy_input_errors_exit_2(command, fixed, err, capsys, monkeypatch):
     """A toy member with no lam to build is an input error, checked before
     the member is built (these exited 3, as numeric failures)."""
@@ -332,6 +369,25 @@ def test_toy_input_errors_exit_2(command, fixed, err, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == f"config error: {err}\n"
+
+
+def test_classify_toy_overflowing_ratio_is_a_mu4_zero_row(capsys):
+    # mu3/mu4 overflows at mu4 = 1e-320: the rows are those of mu4 = 0,
+    # Boundary without map cells (they printed nan cells as Symmetric)
+    rows = []
+    for mu4 in (0, 1e-320):
+        code = cli.main(["classify", "--set", 'model="toy"',
+                         "--set", f'fixed={{"mu1": 1, "mu4": {mu4}}}',
+                         "--set", 'axes=[{"name": "mu3", "min": 0.5, '
+                                  '"max": 2, "steps": 2}]'])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        rows.append(captured.out)
+    assert rows[0] == rows[1] == (
+        "mu3,theta,lambda_re,lambda_im,rho,tau,verdict,margin_ineq1,"
+        "margin_ineq2\n"
+        "0.5,0.0,,,,,Boundary,nan,\n"
+        "2.0,0.0,,,,,Boundary,nan,\n")
 
 
 def test_blocks_keep_the_bytes_of_a_point_by_point_run(tmp_path,

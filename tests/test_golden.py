@@ -1,10 +1,11 @@
 """Byte-for-byte CLI output on every shipped config and on the `verify
 --json` report; a refactor that keeps behaviour keeps these bytes.
 
-Four of the files pass through LAPACK: the three fock and planar
-`spectrum_*.json` (numpy's `eigvals`; fock pairs and planar take the real
-route of `real_gauge`, general-coeffs the complex one) and `verify.json`
-(the spectral checks' details).  They are compared byte for byte too:
+Five of the files pass through LAPACK: the four fock and planar
+`spectrum_*.json` (fock pairs and planar take numpy's `eigvals` on the real
+route of `real_gauge`, general-coeffs on the complex one, and hermitian,
+the worked member's Hermitian counterpart, takes `eigvalsh`) and
+`verify.json` (the spectral checks' details).  They are compared byte for byte too:
 `tests/conftest.py` pins BLAS to one thread, and each was seen
 byte-identical with one thread and with two.
 
@@ -33,7 +34,8 @@ CASES = [("classify", "classify_mu3_sweep.csv"),
          ("spectrum", "spectrum_toy.json"),
          ("spectrum", "spectrum_fock_pairs.json"),
          ("spectrum", "spectrum_planar.json"),
-         ("spectrum", "spectrum_general_coeffs.json")]
+         ("spectrum", "spectrum_general_coeffs.json"),
+         ("spectrum", "spectrum_hermitian.json")]
 
 
 @pytest.mark.parametrize("command, golden", CASES)

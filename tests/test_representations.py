@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -460,14 +461,19 @@ def test_real_gauge_leaves_non_pt5_matrices_alone():
 
 
 def test_eig_sees_real_input_for_pt5_and_complex_for_general(monkeypatch):
-    seen = []
-    eig = representations.eig
+    seen, hermitian = [], []
+    eig, eigvalsh = representations.eig, representations.eigvalsh
 
     def recording_eig(a, *args, **kwargs):
         seen.append(a.dtype)
         return eig(a, *args, **kwargs)
 
+    def recording_eigvalsh(a, *args, **kwargs):
+        hermitian.append((a.dtype, np.array_equal(a, a.T)))
+        return eigvalsh(a, *args, **kwargs)
+
     monkeypatch.setattr(representations, "eig", recording_eig)
+    monkeypatch.setattr(representations, "eigvalsh", recording_eigvalsh)
     rng = np.random.default_rng(23)
     general = build_general(HamiltonianCoeffs(
         (1.0, 0.5, 1.0, 0.75, 0.5j, 0.0, 0.25, 0.25, 0.5 + 0.25j, 0.0)), 1.5)
@@ -475,11 +481,44 @@ def test_eig_sees_real_input_for_pt5_and_complex_for_general(monkeypatch):
         rep = make_representation(kind, 1.5, dims)
         for which in range(4):
             diagonalize_classify(_pt5_member(rng, which, 1.5), rep)
-        assert seen == [np.float64] * 8
+        # the three H members reach eig real; h, its own adjoint, reaches
+        # eigvalsh as an exactly symmetric real matrix
+        assert seen == [np.float64] * 6
+        assert hermitian == [(np.float64, True)] * 2
         seen.clear()
+        hermitian.clear()
         diagonalize_classify(general, rep)
         assert seen == [np.complex128] * 2
+        assert hermitian == []
         seen.clear()
+
+
+def test_hermitian_and_eig_routes_agree_on_the_spectra_members(monkeypatch):
+    # the Hermitian counterparts h of the spectra benchmark's members, which
+    # diagonalize_classify hands to eigvalsh, against eig of the same
+    # real-gauged truncations.  On planar the Hermitian part also
+    # symmetrizes the edge rows, so eig may find a converged edge
+    # eigenvalue off the real axis where eigvalsh finds it on it
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(
+        os.path.dirname(os.path.abspath(__file__))), "bench"))
+    from workloads import FOCK_STRATA, PLANAR_SIZES, _special_member
+
+    rng = np.random.default_rng(25)
+    cases = [("fock", n, delta) for n, delta in FOCK_STRATA[::3]]
+    cases += [("planar", n, None) for n in PLANAR_SIZES[:3]] * 2
+    for kind, dims, delta in cases:
+        vals, theta = _special_member(rng)
+        p = hermitian_counterpart_pt5(with_special_choice(Mu(**vals)), theta)
+        rep = make_representation(kind, theta, dims)
+        got = diagonalize_classify(p, rep, delta)
+        want = truncation_report(*(
+            representations.eig(real_gauge(poly_to_matrix(p, r), r))
+            for r in (rep, enlarged_representation(rep, delta))))
+        if (kind, want.verdict, got.verdict) == (
+                "planar", "Inconclusive", ALL_REAL):
+            continue
+        assert got.flags == want.flags, (kind, dims)
+        assert (got.verdict, got.pairs) == (want.verdict, want.pairs)
 
 
 def test_real_and_complex_routes_agree_on_drawn_members():
