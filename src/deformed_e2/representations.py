@@ -395,9 +395,15 @@ def diagonalize_classify(p, rep, delta=None):
 
     def spectrum(r):
         m = real_gauge(poly_to_matrix(p, r), r)
-        return eigvalsh((m + m.conj().T) / 2) if hermitian else eig(m)
+        if not hermitian:
+            return eig(m)
+        m = (m + m.conj().T) / 2
+        # eig refuses inf and nan entries; eigvalsh may return nan for them
+        if not np.isfinite(m).all():
+            raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+        return eigvalsh(m)
 
-    # an overflowing matrix is built silently and fails in `eig`
+    # an overflowing matrix is built silently and fails in `spectrum`
     with np.errstate(over="ignore", invalid="ignore"):
         e1, e2 = spectrum(rep), spectrum(big)
     return truncation_report(e1, e2)

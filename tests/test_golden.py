@@ -5,8 +5,8 @@ Five of the files pass through LAPACK: the four fock and planar
 `spectrum_*.json` (fock pairs and planar take numpy's `eigvals` on the real
 route of `real_gauge`, general-coeffs on the complex one, and hermitian,
 the worked member's Hermitian counterpart, takes `eigvalsh`) and
-`verify.json` (the spectral checks' details).  They are compared byte for byte too:
-`tests/conftest.py` pins BLAS to one thread, and each was seen
+`verify.json` (the spectral checks' details).  They are compared byte for
+byte too: `tests/conftest.py` pins BLAS to one thread, and each was seen
 byte-identical with one thread and with two.
 
 The in-process runs follow tests that have already imported scipy; the

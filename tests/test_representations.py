@@ -521,6 +521,16 @@ def test_hermitian_and_eig_routes_agree_on_the_spectra_members(monkeypatch):
         assert (got.verdict, got.pairs) == (want.verdict, want.pairs)
 
 
+def test_hermitian_route_refuses_nonfinite_matrices():
+    # as eig does: J^2 overflows on the last level of the enlarged
+    # truncation only (24^2 * 3.25e305 > 1.8e308 > 23^2 * 3.25e305)
+    p = OperatorPoly({(0, 0, 2): 3.25e305}, 0.5)
+    assert p == p.dagger()
+    with pytest.raises(np.linalg.LinAlgError,
+                       match="Array must not contain infs or NaNs"):
+        diagonalize_classify(p, make_representation("fock", 0.5, 20), 5)
+
+
 def test_real_and_complex_routes_agree_on_drawn_members():
     # ill-conditioned edge eigenvalues sit at the 1e-6 stability threshold,
     # where the last bits of eig decide a flag: a few may flip
