@@ -37,7 +37,7 @@ def main():
     for theta in (0.0, 1.0, 5.0):
         def fam(t, theta=theta):
             return with_special_choice(Mu(mu1=1.0, mu3=t, mu4=1.0)), theta
-        ep = find_exceptional_point(fam, (0.5, 2.0))
+        ep, _, _ = find_exceptional_point(fam, (0.5, 2.0))
         print(f"  theta = {theta}: exceptional point at mu3 = {ep!r}")
     print()
 
@@ -50,7 +50,8 @@ def main():
 
     def fam(t):
         return worked, t
-    ep = find_exceptional_point(fam, (0.0, 16.0), mode="special", tol=1e-7)
+    ep, _, _ = find_exceptional_point(fam, (0.0, 16.0), mode="special",
+                                      tol=1e-7)
     print(f"  bisected exceptional point: theta = {ep!r}")
 
 

@@ -44,7 +44,6 @@ from .models import (
     build_general,
     build_pt5,
     classify_points,
-    classify_region,
     coeffs_from_values,
     extract_coeffs,
     find_exceptional_point,
@@ -221,11 +220,15 @@ def _model_values(cfg, model, command, swept=None):
     return values
 
 
-def _toy_lam(vals):
-    """The real lambda of a toy member given by lam or by mu3."""
-    if "lam" in vals:
-        return vals["lam"]
-    return toy_lambda(vals["mu3"], vals.get("mu4", 0.0)).real
+def _toy_member(values, theta):
+    """(mu1, mu4, lam, eps, shift) of the toy member given by lam or by mu3
+    in the checked `values`; mu1 defaults to 1 and mu4 to 0."""
+    mu1, mu4 = values.get("mu1", 1.0), values.get("mu4", 0.0)
+    _, eps, shift = toy_model(mu1, mu4, lam=values.get("lam"), theta=theta,
+                              mu3=values.get("mu3"))
+    lam = values["lam"] if "lam" in values else toy_lambda(
+        values["mu3"], mu4).real
+    return mu1, mu4, lam, eps, shift
 
 
 def _axes(cfg, model):
@@ -279,10 +282,6 @@ def _emit(text, output):
         sys.stdout.writelines(text)
 
 
-def _json_text(obj):
-    return json.dumps(obj, indent=2) + "\n"
-
-
 # json's spellings of the non-finite floats, keyed by their repr
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _EIGENVALUE_ITEM = ('\n    {\n      "re": %s,\n      "im": %s,\n'
@@ -298,7 +297,8 @@ def _json_float(x):
 def _eigenvalues_json(values, flags):
     """The list of {re, im, converged} objects of a spectrum document, as
     JSON text that `_json_doc` writes at the top level: the bytes of
-    `_json_text`, without the pure-Python encoder that `indent` selects."""
+    `json.dumps(..., indent=2)`, without the pure-Python encoder that
+    `indent` selects."""
     if not values:
         return "[]"
     return "[" + ",".join(
@@ -307,11 +307,11 @@ def _eigenvalues_json(values, flags):
         for z, f in zip(values, flags)) + "\n  ]"
 
 
-def _json_doc(doc, raw):
-    """`_json_text(doc)`, except that the value of each key in `raw` is
-    JSON text already and is written as it stands.  Every other value is
-    dumped on its own and indented one level; `json` writes no raw line
-    break inside a value."""
+def _json_doc(doc, raw=()):
+    """`json.dumps(doc, indent=2)` and a newline, except that the value of
+    each key in `raw` is JSON text already and is written as it stands.
+    Every value is dumped on its own and indented one level; `json` writes
+    no raw line break inside a value."""
     items = (f"  {json.dumps(key)}: "
              + (value if key in raw
                 else json.dumps(value, indent=2).replace("\n", "\n  "))
@@ -471,31 +471,17 @@ def _representation_from(cfg, model):
 
 
 def _spectrum_operator(model, values, theta, which):
-    """(poly, params echo extras) for the requested operator."""
-    extras = {}
-    if model == "toy":
-        mu1, mu4 = values.get("mu1", 1.0), values.get("mu4", 0.0)
-        _, eps, shift = toy_model(mu1, mu4, lam=values.get("lam"),
-                                  theta=theta, mu3=values.get("mu3"))
-        lam = _toy_lam(values)
-        extras = {"epsilon": eps, "lambda": lam, "shift_stated": shift}
-        if which == "h":
-            # the scalar shift moves every eigenvalue equally and its two
-            # printed conventions disagree; diagonalize without it
-            poly = OperatorPoly({(0, 0, 2): mu1, (0, 0, 1): eps}, theta)
-        else:
-            poly = build_pt5(toy_mu(mu1, mu4, lam), theta)
-        return poly, extras
+    """The requested operator of a pt5 or general-coeffs member."""
     if model == "general-coeffs":
         if which != "H":
             raise ConfigError("hamiltonian must be \"H\" for general-coeffs")
-        return build_general(coeffs_from_values(values), theta), extras
+        return build_general(coeffs_from_values(values), theta)
     mu = _mu_from_values(model, values)
     if which == "H":
-        return build_pt5(mu, theta), extras
+        return build_pt5(mu, theta)
     if model != "pt5-special":
         raise ConfigError("hamiltonian \"h\" needs model pt5-special or toy")
-    return hermitian_counterpart_pt5(mu, theta), extras
+    return hermitian_counterpart_pt5(mu, theta)
 
 
 def cmd_spectrum(cfg):
@@ -509,7 +495,16 @@ def cmd_spectrum(cfg):
         raise ConfigError('hamiltonian must be "H" or "h"')
     kind, dims, delta, j0 = _representation_from(cfg, model)
 
-    poly, extras = _spectrum_operator(model, fixed, theta, which)
+    extras = {}
+    if model == "toy":
+        mu1, mu4, lam, eps, shift = _toy_member(fixed, theta)
+        extras = {"epsilon": eps, "lambda": lam, "shift_stated": shift}
+        # h without its scalar shift: the shift moves every eigenvalue
+        # equally and its two printed conventions disagree
+        poly = (OperatorPoly({(0, 0, 2): mu1, (0, 0, 1): eps}, theta)
+                if which == "h" else build_pt5(toy_mu(mu1, mu4, lam), theta))
+    else:
+        poly = _spectrum_operator(model, fixed, theta, which)
     rep = make_representation(kind, theta, dims, j0=j0)
     report = diagonalize_classify(poly, rep, delta=delta)
 
@@ -528,8 +523,6 @@ def cmd_spectrum(cfg):
         "diagnostic": report.diagnostic,
     }
     if model == "toy":
-        eps = extras["epsilon"]
-        mu1 = fixed.get("mu1", 1.0)
         nmax = dims if isinstance(dims, int) else 3
         doc["conventions"] = [
             {"n": n,
@@ -576,9 +569,8 @@ def cmd_ep(cfg):
         return _mu_from_values(model, values), th
 
     try:
-        lo_phase = classify_region(*family(lo), mode=mode).phase
-        hi_phase = classify_region(*family(hi), mode=mode).phase
-        point = find_exceptional_point(family, (lo, hi), mode=mode, tol=tol)
+        point, lo_phase, hi_phase = find_exceptional_point(
+            family, (lo, hi), mode=mode, tol=tol)
     except ValueError as exc:  # both ends in one phase, or mu1 = 0 between
         raise ConfigError(str(exc))
     doc = {
@@ -590,7 +582,7 @@ def cmd_ep(cfg):
         "phase_low": lo_phase,
         "phase_high": hi_phase,
     }
-    _emit(_json_text(doc), cfg.get("output"))
+    _emit(_json_doc(doc), cfg.get("output"))
     return 0
 
 
@@ -616,10 +608,7 @@ def cmd_hermitize(cfg):
 
     echo = values
     if model == "toy":
-        mu1, mu4 = values.get("mu1", 1.0), values.get("mu4", 0.0)
-        _, eps, shift = toy_model(mu1, mu4, lam=values.get("lam"),
-                                  theta=theta, mu3=values.get("mu3"))
-        lam = _toy_lam(values)
+        mu1, mu4, lam, eps, shift = _toy_member(values, theta)
         params = toy_dyson_params(mu1, mu4, lam, theta)
         conj = adjoint_poly(params, build_pt5(toy_mu(mu1, mu4, lam), theta))
         extra = {
@@ -654,7 +643,7 @@ def cmd_hermitize(cfg):
         }
     doc = {"model": model, "params": {**echo, "theta": theta},
            "dyson": _dyson_doc(params), **extra}
-    _emit(_json_text(doc), cfg.get("output"))
+    _emit(_json_doc(doc), cfg.get("output"))
     return 0
 
 
@@ -683,7 +672,7 @@ def cmd_verify(only, fault, json_path):
         raise ConfigError(str(exc))
     print(render_text(results))
     if json_path:
-        _emit(_json_text(render_json(results, fault=fault)), json_path)
+        _emit(_json_doc(render_json(results, fault=fault)), json_path)
     return 0 if all_passed(results) else 1
 
 

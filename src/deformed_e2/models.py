@@ -1173,9 +1173,10 @@ def find_exceptional_point(family, bracket, mode="general", tol=BOUNDARY_TOL):
     """Bisect a one-parameter family to the phase boundary.
 
     `family` maps the sweep parameter t to (Mu, theta).  The verdicts at the
-    bracket ends must differ; bisection then narrows the bracket to `tol`
-    and returns the boundary parameter (immediately, if a midpoint lands on
-    Boundary).
+    bracket ends must differ; bisection then narrows the bracket to `tol`,
+    or until no float lies between its ends, and returns the boundary
+    parameter (immediately, if a midpoint lands on Boundary) with the
+    phases of the two ends: (point, phase_low, phase_high).
     """
     a, b = float(bracket[0]), float(bracket[1])
     va = classify_region(*family(a), mode=mode).phase
@@ -1185,11 +1186,13 @@ def find_exceptional_point(family, bracket, mode="general", tol=BOUNDARY_TOL):
             f"bracket endpoints agree ({va}); no boundary to bisect")
     while abs(b - a) > tol:
         m = 0.5 * (a + b)
+        if m == a or m == b:  # adjacent floats: no midpoint left to try
+            break
         vm = classify_region(*family(m), mode=mode).phase
         if vm == BOUNDARY:
-            return m
+            return m, va, vb
         if vm == va:
             a = m
         else:
             b = m
-    return 0.5 * (a + b)
+    return 0.5 * (a + b), va, vb

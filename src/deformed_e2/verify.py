@@ -468,10 +468,11 @@ def _counterpart_vs_engine(fault):
 def _exceptional_points(fault):
     eps = [find_exceptional_point(
         lambda t: (Mu(mu1=1.0, mu3=float(t), mu4=1.0), theta),
-        (0.5, 2.0)) for theta in (0.0, 1.0, 5.0)]
+        (0.5, 2.0))[0] for theta in (0.0, 1.0, 5.0)]
     spread = max(eps) - min(eps)
-    ep_theta = find_exceptional_point(lambda t: (_WORKED_MU, float(t)),
-                                      (0.0, 16.0), mode="special", tol=1e-7)
+    ep_theta, _, _ = find_exceptional_point(
+        lambda t: (_WORKED_MU, float(t)), (0.0, 16.0), mode="special",
+        tol=1e-7)
     ok = spread < 1e-9 and abs(ep_theta - 8.0) < 1e-6
     return ok, (f"first-family EPs {eps} (spread {spread:.3e}); "
                 f"worked-family theta EP {ep_theta!r}")

@@ -148,13 +148,13 @@ def test_criterion_5_exceptional_points():
     for theta in (0.0, 1.0, 5.0):
         def fam(t, theta=theta):
             return with_special_choice(Mu(mu1=1.0, mu3=t, mu4=1.0)), theta
-        points.append(find_exceptional_point(fam, (0.5, 2.0)))
+        points.append(find_exceptional_point(fam, (0.5, 2.0))[0])
     assert max(points) - min(points) <= 1e-9
 
     def worked_fam(t):
         return WORKED, t
-    ep = find_exceptional_point(worked_fam, (0.0, 16.0), mode="special",
-                                tol=1e-7)
+    ep, _, _ = find_exceptional_point(worked_fam, (0.0, 16.0),
+                                      mode="special", tol=1e-7)
     assert abs(ep - 8.0) <= 1e-6
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"took {elapsed:.2f}s"

@@ -304,7 +304,7 @@ def test_spectrum_fock_conjugate_pairs(capsys):
 
 def _spectrum_doc(eigenvalues, flags, conventions):
     """A spectrum document as cmd_spectrum builds it, its eigenvalues as
-    `_json_text` would write them."""
+    `json` would write them."""
     doc = {"model": "toy", "params": {"mu1": 1.0, "theta": 0.1},
            "representation": {"kind": "circle", "dims": 3, "delta": None},
            "hamiltonian": "h",
@@ -333,7 +333,7 @@ def test_spectrum_json_writer_keeps_the_bytes_of_json(values, conventions):
     text = cli._json_doc({**doc, "eigenvalues":
                           cli._eigenvalues_json(values, flags)},
                          raw=("eigenvalues",))
-    assert text == cli._json_text(doc)
+    assert text == json.dumps(doc, indent=2) + "\n"
 
 
 def test_spectrum_toy_needs_exactly_one_of_lam_mu3(tmp_path):
@@ -515,6 +515,70 @@ def test_ep_requires_a_transition(capsys):
     assert code == 2
 
 
+# pt5-general crossing at mu3 = 1e7 - 1e-3, where the float spacing
+# (1.86e-9) is wider than the default tol and no float mu3 puts |mu23|
+# within BOUNDARY_TOL of mu4: no midpoint is ever Boundary
+_EP_PAST_THE_FLOATS = [
+    "ep", "--set", 'model="pt5-general"',
+    "--set", 'fixed={"mu1": 1, "mu4": 1e-3, "mu6": -2e7}',
+    "--set", 'sweep={"name": "mu3", "min": 9999999.7, '
+             '"max": 10000000.0003}']
+
+
+def _past_the_floats_family(t):
+    return models.Mu(mu1=1.0, mu3=float(t), mu4=1e-3, mu6=-2e7), 0.0
+
+
+def test_ep_stops_when_no_float_is_left_between_the_ends(capsys):
+    # the bisection used to spin once its midpoint rounded onto an end
+    code, out = run(capsys, _EP_PAST_THE_FLOATS)
+    assert code == 0
+    doc = json.loads(out)
+    point = doc["exceptional_point"]
+    assert point == pytest.approx(1e7 - 1e-3, abs=1e-8)
+    phase = models.classify_region(*_past_the_floats_family(point)).phase
+    if phase == doc["phase_low"]:
+        other, want = math.nextafter(point, math.inf), doc["phase_high"]
+    else:
+        assert phase == doc["phase_high"]
+        other, want = math.nextafter(point, -math.inf), doc["phase_low"]
+    assert models.classify_region(*_past_the_floats_family(other)).phase \
+        == want
+
+
+def _worked_theta_family(t):
+    return models.with_special_choice(models.Mu(
+        mu1=1.0, mu2=0.0, mu3=1.0, mu4=2.0, mu5=1.0, mu6=1.0, mu8=0.0)), t
+
+
+@pytest.mark.parametrize("argv, family, bracket, mode, tol", [
+    (["ep", "-c", "configs/ep_theta_sweep.json"], _worked_theta_family,
+     (0.0, 16.0), "special", 1e-7),
+    (_EP_PAST_THE_FLOATS, _past_the_floats_family,
+     (9999999.7, 10000000.0003), "general", models.BOUNDARY_TOL),
+], ids=["ep_theta_sweep", "past-the-floats"])
+def test_ep_classifies_each_point_once(argv, family, bracket, mode, tol,
+                                       capsys, monkeypatch):
+    # the end phases ep prints come from the bisection's own classification
+    calls = []
+    classify = models.classify_region
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return classify(*args, **kwargs)
+    monkeypatch.setattr(models, "classify_region", counted)
+    code, out = run(capsys, argv)
+    assert code == 0
+    via_cli = len(calls)
+    calls.clear()
+    point, low, high = models.find_exceptional_point(family, bracket,
+                                                     mode=mode, tol=tol)
+    assert via_cli == len(calls)
+    doc = json.loads(out)
+    assert (doc["exceptional_point"], doc["phase_low"], doc["phase_high"]) \
+        == (point, low, high)
+
+
 def test_hermitize_special_worked_point(capsys):
     code, out = run(capsys, ["hermitize", "-c", "configs/hermitize_special.json"])
     assert code == 0
@@ -687,8 +751,7 @@ def test_output_key_must_be_a_path(value, capsys, monkeypatch):
     true, closing the caller's stdout) or end in a traceback."""
     def no_point(*args, **kwargs):
         raise AssertionError("a point was computed")
-    for name in ("classify_region", "find_exceptional_point"):
-        monkeypatch.setattr(cli, name, no_point)
+    monkeypatch.setattr(cli, "find_exceptional_point", no_point)
     code = cli.main(["ep", "-c", "configs/ep_theta_sweep.json",
                      "--set", f"output={value}"])
     captured = capsys.readouterr()

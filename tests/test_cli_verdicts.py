@@ -276,7 +276,7 @@ def test_overflowing_coth_ratio_is_a_zero_denominator(argv, code, out, err,
 def test_zero_mu1_is_a_config_error(argv, capsys, monkeypatch):
     def no_point(*args, **kwargs):
         raise AssertionError("a point was computed")
-    for name in ("_run_pool", "classify_region", "find_exceptional_point",
+    for name in ("_run_pool", "find_exceptional_point",
                  "with_special_choice", "toy_model", "make_representation"):
         monkeypatch.setattr(cli, name, no_point)
     code = cli.main(argv)

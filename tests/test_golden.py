@@ -15,6 +15,7 @@ import scipy.linalg or scipy.optimize there: every data command gets its
 eigenvalues from numpy, and scipy stands only behind `verify`'s oracles."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -36,6 +37,21 @@ CASES = [("classify", "classify_mu3_sweep.csv"),
          ("spectrum", "spectrum_planar.json"),
          ("spectrum", "spectrum_general_coeffs.json"),
          ("spectrum", "spectrum_hermitian.json")]
+
+
+def test_configs_goldens_cases_and_ci_loop_agree():
+    """Every shipped config has a golden and a CASES entry, every golden
+    but verify.json has a config, and the CI cold-start loop runs every
+    CASES entry."""
+    root = TESTS.parent
+    configs = sorted(p.stem for p in (root / "configs").glob("*.json"))
+    goldens = sorted(p.name for p in GOLDEN.iterdir()
+                     if p.name != "verify.json")
+    assert sorted(Path(g).stem for g in goldens) == configs
+    assert sorted(g for _, g in CASES) == goldens
+    workflow = (root / ".github" / "workflows" / "tests.yml").read_text()
+    loop = re.search(r"for run in ([^;]*); do", workflow).group(1).split()
+    assert sorted(tuple(run.split(":")) for run in loop) == sorted(CASES)
 
 
 @pytest.mark.parametrize("command, golden", CASES)

@@ -252,7 +252,9 @@ def test_exceptional_point_first_family():
     for theta in (0.0, 1.0, 5.0):
         def fam(t, theta=theta):
             return with_special_choice(Mu(mu1=1.0, mu3=t, mu4=1.0)), theta
-        points.append(find_exceptional_point(fam, (0.5, 2.0)))
+        point, low, high = find_exceptional_point(fam, (0.5, 2.0))
+        assert (low, high) == (BROKEN, SYMMETRIC)
+        points.append(point)
     assert all(p == pytest.approx(1.0, abs=1e-8) for p in points)
     assert max(points) - min(points) < 1e-12
 
@@ -262,6 +264,29 @@ def test_exceptional_point_needs_a_sign_change():
         return with_special_choice(Mu(mu1=1.0, mu3=t, mu4=1.0)), 1.0
     with pytest.raises(ValueError):
         find_exceptional_point(fam, (1.5, 2.0))
+
+
+def test_exceptional_point_stops_between_adjacent_floats(monkeypatch):
+    # the crossing is at mu3 = 1e7 - 1e-3, where no float puts |mu23|
+    # within BOUNDARY_TOL of mu4 and the float spacing is wider than tol:
+    # the midpoint used to round onto an end and repeat there forever
+    calls = []
+    classify = models.classify_region
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return classify(*args, **kwargs)
+    monkeypatch.setattr(models, "classify_region", counted)
+
+    def fam(t):
+        return Mu(mu1=1.0, mu3=t, mu4=1e-3, mu6=-2e7), 0.0
+    lo, hi = 9999999.7, 10000000.0003
+    point, low, high = find_exceptional_point(fam, (lo, hi))
+    assert point == pytest.approx(1e7 - 1e-3, abs=1e-8)
+    assert (low, high) == (SYMMETRIC, BROKEN)
+    # the two ends, then one midpoint per halving down to adjacent floats
+    halvings = math.ceil(math.log2((hi - lo) / math.ulp(point)))
+    assert len(calls) <= 2 + halvings
 
 
 def test_toy_family_values():
