@@ -82,7 +82,8 @@ _MODEL_PARAMS = {
 # classify rejects a grid of more points than this before building it
 MAX_GRID_POINTS = 10 ** 6
 # spectrum rejects a truncation whose enlarged matrix has more rows than
-# this before building any matrix
+# this before building any matrix; planar counts the states of the enlarged
+# N_x x N_y grid, also where its Casimir sectors are diagonalized instead
 MAX_MATRIX_SIZE = 4096
 
 _CSV_FIELDS = ("theta", "lambda_re", "lambda_im", "rho", "tau",

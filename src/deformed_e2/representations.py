@@ -4,7 +4,8 @@ Three concrete realizations back the abstract algebra:
 
 fock     U = sqrt(theta/2)(a + a^dag), V = -i sqrt(theta/2)(a - a^dag),
          J = a^dag a + j0, on N number states.  Exact in infinite
-         dimension; needs theta > 0.
+         dimension; needs theta > 0.  A column of j0 values gives a stack
+         of such sectors, one per j0, sharing U and V.
 planar   Two-oscillator realization of the Bopp shift
          J = y p_x - x p_y, U = x - (theta/2) p_y, V = y + (theta/2) p_x
          on N_x x N_y oscillator levels; any theta, including 0.
@@ -18,6 +19,15 @@ Truncation contaminates the highest few levels (the truncated ladder
 commutator [a, a^dag] fails only in its last diagonal entry), so algebra
 checks run on an interior block and spectra are filtered by comparing two
 truncation sizes (on the circle, where J is diagonal, they are exact).
+
+The Casimir C = U^2 + V^2 - 2 theta J commutes with U, V and J.  On the
+planar grid at theta > 0 it is theta (2 n' + 1) for n' = 0, 1, ..., and the
+eigenspace of n' carries the fock realization with j0 = -n'.  So planar
+spectra at theta != 0 are computed on these Casimir sectors
+(`truncations`): dims (N_x, N_y) means N_x sectors j0 = 0, -1, ...,
+-(N_x - 1) of N_y levels each.  theta < 0 is the algebra at |theta| under
+(U, V, J) -> (U, -V, -J), the reflection y -> -y of the plane.  theta = 0
+has no fock realization and keeps the grid.
 """
 
 from __future__ import annotations
@@ -52,7 +62,7 @@ class Representation:
     kind: str
     theta: float
     dims: tuple
-    j0: float
+    j0: object  # a float, or a tuple of floats for a stack of fock sectors
     size: int
     factors: tuple = field(repr=False)
 
@@ -79,12 +89,14 @@ def make_representation(kind, theta, dims, j0=0.0):
     """Build the factors; see the module docstring for conventions.
 
     dims: N for fock, (N_x, N_y) or a single int for planar, M for circle
-    (matrix size 2M+1).  j0 offsets the fock J only.  Small sizes are
-    allowed for inspection, but `diagonalize_classify` insists on size >= 16
-    for fock and planar.
+    (matrix size 2M+1).  j0 offsets the fock J only; a sequence of j0
+    values makes a stack of fock sectors, whose `poly_to_matrix` is a
+    (K, N, N) array.  Small sizes are allowed for inspection, but
+    `diagonalize_classify` insists on size >= 16 for fock and planar.
     """
     theta = float(theta)
-    if kind in ("planar", "circle") and j0 != 0:
+    stacked = np.ndim(j0) == 1
+    if kind in ("planar", "circle") and (stacked or j0 != 0):
         raise ValueError(f"j0 offsets only the fock J, not the {kind} one")
     if kind == "fock":
         if theta <= 0:
@@ -99,7 +111,8 @@ def make_representation(kind, theta, dims, j0=0.0):
         # nonzero product of each diagonal entry of the matrix product
         root = np.sqrt(np.arange(n, dtype=float))
         dims, size = (n,), n
-        factors = (s * (a + ad), -1j * s * (a - ad), root * root + j0)
+        factors = (s * (a + ad), -1j * s * (a - ad),
+                   root * root + np.array(j0, dtype=float)[..., None])
     elif kind == "planar":
         if np.isscalar(dims):
             nx = ny = int(dims)
@@ -121,7 +134,8 @@ def make_representation(kind, theta, dims, j0=0.0):
         raise ValueError(f"unknown representation kind {kind!r}")
     # complex, so fock products run in zgemm as the identity-started dense
     # chain does, and keep its bytes
-    return Representation(kind, theta, dims, float(j0), size,
+    j0 = tuple(float(j) for j in j0) if stacked else float(j0)
+    return Representation(kind, theta, dims, j0, size,
                           tuple(f.astype(complex) for f in factors))
 
 
@@ -130,7 +144,9 @@ def poly_to_matrix(p, rep):
 
     The monomial U^a V^b J^c maps to the ordered product of its factors.
     On fock and circle, J is diagonal and acts as a column scaling; on the
-    planar grid every monomial is assembled from 1-D factors.
+    planar grid every monomial is assembled from 1-D factors.  A stack of
+    fock sectors gives a (K, N, N) array: the U and V products are shared,
+    and each sector scales them by its own J diagonal.
     """
     if p.theta != rep.theta:
         raise ValueError(
@@ -138,8 +154,9 @@ def poly_to_matrix(p, rep):
     if rep.kind == "planar":
         return _planar_matrix(p, rep)
     jdiag = rep.factors[-1]
-    out = np.zeros((rep.size, rep.size), dtype=complex)
-    diag = out.reshape(-1)[::rep.size + 1]
+    jcols = jdiag[..., None, :]
+    out = np.zeros(jdiag.shape[:-1] + (rep.size, rep.size), dtype=complex)
+    diag = out.reshape(jdiag.shape[:-1] + (-1,))[..., ::rep.size + 1]
     for (a, b, c), w in p.terms.items():
         if rep.kind == "circle" and (a or b):
             raise ValueError(
@@ -157,7 +174,7 @@ def poly_to_matrix(p, rep):
         for mat in factors[1:]:
             term = term @ mat
         for _ in range(c):
-            term = term * jdiag
+            term = term * jcols
         out += w * term
     return out
 
@@ -347,7 +364,8 @@ def real_gauge(m, rep):
     with the same spectrum when there is one, else m itself.
 
     Fock U and J are real and V is imaginary, so a PT5 member (U -> U,
-    V -> -V, conjugation) is a real matrix as it stands.  On the planar
+    V -> -V, conjugation) is a real matrix as it stands; a stack of fock
+    sectors is judged as one array.  On the planar
     grid PT5 acts as P_y K, and S = diag(i^{n_y}) squares to P_y, so
     S^-1 m S, entry ((ix, iy), (jx, jy)) times i^(jy - iy), is real.
     When that gauged matrix has an exactly zero imaginary part, its real
@@ -371,17 +389,44 @@ def enlarged_representation(rep, delta=None):
                                rep.j0)
 
 
+def truncations(p, rep, delta=None):
+    """(q, base, big): the polynomial and the two fock or planar
+    truncations that `diagonalize_classify` diagonalizes for p in rep.
+
+    A planar rep at theta != 0 becomes its Casimir sectors: base stacks
+    the N_x fock sectors j0 = 0, -1, ..., -(N_x - 1) of N_y levels each,
+    big the same sectors grown by `delta` levels (default a quarter of
+    N_y, at least one), and q is p at |theta|; for theta < 0 that is
+    (U, V, J) -> (U, -V, -J), which flips the sign of the terms with odd
+    b + c.  Any other rep gives p, rep and `enlarged_representation`.
+    """
+    if rep.kind != "planar" or rep.theta == 0:
+        return p, rep, enlarged_representation(rep, delta)
+    nx, ny = rep.dims
+    theta = abs(rep.theta)
+    q = p if rep.theta > 0 else OperatorPoly(
+        {(a, b, c): -w if (b + c) % 2 else w
+         for (a, b, c), w in p.terms.items()}, theta)
+    base = make_representation("fock", theta, ny,
+                               j0=tuple(float(-k) for k in range(nx)))
+    return q, base, enlarged_representation(base, delta)
+
+
 def diagonalize_classify(p, rep, delta=None):
     """Spectrum of p in the representation, with truncation filtering.
 
     Fock and planar (size >= 16): diagonalizes again with the truncation
     enlarged by `delta` (default: a quarter) and judges the two spectra by
-    `truncation_report`; each matrix goes through `real_gauge`.  A p that
-    is exactly its own adjoint (p == dagger(p)) takes `eigvalsh` of the
-    Hermitian part (m + m^H) / 2 of each gauged matrix, every other p
-    `eig`.  On fock the Hermitian part is m up to rounding; on planar it
-    is a second truncation of the same operator, which differs from m only
-    in the edge rows that the truncated ladder commutator spoils.
+    `truncation_report`; each matrix goes through `real_gauge`.  A planar
+    rep at theta != 0 is diagonalized as its Casimir sectors, one
+    stacked solver call per truncation: the document keeps N_x N_y
+    eigenvalues, each sector is judged against itself grown by `delta`
+    levels, and `delta` grows N_y only.  theta = 0 keeps the N_x N_y grid.
+    A p that is exactly its own adjoint (p == dagger(p)) takes `eigvalsh`
+    of the Hermitian part (m + m^H) / 2 of each gauged matrix, every other
+    p `eig`.  On fock the Hermitian part is m up to rounding; on the grid
+    it is a second truncation of the same operator, which differs from m
+    only in the edge rows that the truncated ladder commutator spoils.
     Circle: the matrix is diagonal, all exact, both tolerances
     1e-12 max(1, radius).
     """
@@ -390,14 +435,14 @@ def diagonalize_classify(p, rep, delta=None):
         return _report(e1, np.ones(len(e1), dtype=bool), exact=True)
     if rep.size < 16:
         raise ValueError("matrix size below 16 is all edge, no interior")
-    big = enlarged_representation(rep, delta)
+    p, *reps = truncations(p, rep, delta)
     hermitian = p == dagger(p)
 
     def spectrum(r):
         m = real_gauge(poly_to_matrix(p, r), r)
         if not hermitian:
             return eig(m)
-        m = (m + m.conj().T) / 2
+        m = (m + np.swapaxes(m.conj(), -1, -2)) / 2
         # eig refuses inf and nan entries; eigvalsh may return nan for them
         if not np.isfinite(m).all():
             raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
@@ -405,7 +450,7 @@ def diagonalize_classify(p, rep, delta=None):
 
     # an overflowing matrix is built silently and fails in `spectrum`
     with np.errstate(over="ignore", invalid="ignore"):
-        e1, e2 = spectrum(rep), spectrum(big)
+        e1, e2 = (spectrum(r) for r in reps)
     return truncation_report(e1, e2)
 
 
@@ -414,13 +459,17 @@ def truncation_report(e1, e2):
 
     Keeps the eigenvalues whose greedy partner moved less than
     1e-6 (1 + |E|); the verdict on them has reality tolerance 1e-6 radius
-    and pair tolerance 1e-6 (1 + |E|).
+    and pair tolerance 1e-6 (1 + |E|).  Stacks (K, n) and (K, m) of
+    sector spectra are matched sector by sector, and the verdict is taken
+    on all sectors together.
     """
-    stable = np.zeros(len(e1), dtype=bool)
-    for i, j in _greedy_match(e1, e2):
-        if abs(e1[i] - e2[j]) < 1e-6 * (1 + abs(e1[i])):
-            stable[i] = True
-    return _report(e1, stable, exact=False)
+    e1, e2 = np.atleast_2d(e1), np.atleast_2d(e2)
+    stable = np.zeros(e1.shape, dtype=bool)
+    for a, b, flags in zip(e1, e2, stable):
+        for i, j in _greedy_match(a, b):
+            if abs(a[i] - b[j]) < 1e-6 * (1 + abs(a[i])):
+                flags[i] = True
+    return _report(e1.reshape(-1), stable.reshape(-1), exact=False)
 
 
 def _report(e1, stable, exact):

@@ -71,6 +71,7 @@ from .representations import (
     poly_to_matrix,
     real_gauge,
     truncation_report,
+    truncations,
 )
 
 FAULT_ADJOINT_THETA = "adjoint-theta"
@@ -651,11 +652,22 @@ def _isospectrality(fault):
                 f"({iso.verdict_h}, {iso.verdict_hh})")
 
 
+def _one_by_one(solve, q, rep):
+    """solve(matrix, rep) on the matrix of q, a stack of fock sectors
+    taken one sector at a time, each built on its own representation."""
+    if np.ndim(rep.j0) == 0:
+        return solve(poly_to_matrix(q, rep), rep)
+    sectors = (make_representation("fock", rep.theta, rep.size, j0=j)
+               for j in rep.j0)
+    return np.array([solve(poly_to_matrix(q, r), r) for r in sectors])
+
+
 @_register("spectral", "real-gauge eig vs complex eig")
 def _real_gauge_route(fault):
     # the worked member on fock and a pt5-general member with conjugate
-    # pairs on the planar grid: the real route of `diagonalize_classify`
-    # against the same two truncations diagonalized as complex matrices.
+    # pairs in the Casimir sectors of planar 10: the real route of
+    # `diagonalize_classify`, one stacked eig per truncation, against the
+    # same truncations diagonalized as complex matrices, sector by sector.
     # Fock 60: at 80 levels the worked H is so far from normal that its
     # converged eigenvalues move by up to 2e-7 with the rounding of eig
     cases = ((build_pt5(_WORKED_MU, 12.0),
@@ -666,11 +678,12 @@ def _real_gauge_route(fault):
     worst = 0.0
     summary = []
     for p, rep, delta in cases:
-        reps = (rep, enlarged_representation(rep, delta))
-        real = all(real_gauge(poly_to_matrix(p, r), r).dtype == np.float64
+        q, *reps = truncations(p, rep, delta)
+        real = all(real_gauge(poly_to_matrix(q, r), r).dtype == np.float64
                    for r in reps)
         got = diagonalize_classify(p, rep, delta)
-        want = truncation_report(*(eig(poly_to_matrix(p, r)) for r in reps))
+        want = truncation_report(*(_one_by_one(lambda m, r: eig(m), q, r)
+                                   for r in reps))
         same = (same and real and got.flags == want.flags
                 and (got.verdict, got.pairs) == (want.verdict, want.pairs))
         for a, b in zip(got.converged, want.converged):
@@ -685,12 +698,11 @@ def _real_gauge_route(fault):
 @_register("spectral", "Hermitian route vs eig route")
 def _hermitian_route(fault):
     # two Hermitian counterparts h, which `diagonalize_classify` hands to
-    # eigvalsh, against eig of the same two real-gauged truncations: the
-    # worked member on fock and a member on the planar grid whose matrix
-    # needs no edge rows symmetrized.  (Complex eig of the ungauged planar
-    # matrices changes its last bits with the BLAS thread count; the
-    # check above pins the gauge.)  Control: h + 0.1i J is not its own
-    # adjoint, takes eig, and keeps the eig route's eigenvalues exactly
+    # eigvalsh, against eig of the same real-gauged truncations: the
+    # worked member on fock and a member in the Casimir sectors of planar
+    # 10, one stacked eigvalsh per truncation against eig sector by
+    # sector.  Control: h + 0.1i J is not its own adjoint, takes eig, and
+    # keeps the eig route's eigenvalues exactly
     hh = hermitian_counterpart_pt5(_WORKED_MU, 12.0)
     fock = make_representation("fock", 12.0, 60)
     cases = ((hh, fock, 15),
@@ -701,10 +713,11 @@ def _hermitian_route(fault):
     worst = 0.0
     summary = []
     for p, rep, delta in cases:
-        reps = (rep, enlarged_representation(rep, delta))
+        q, *reps = truncations(p, rep, delta)
         got = diagonalize_classify(p, rep, delta)
-        want = truncation_report(*(eig(real_gauge(poly_to_matrix(p, r), r))
-                                   for r in reps))
+        want = truncation_report(*(
+            _one_by_one(lambda m, r: eig(real_gauge(m, r)), q, r)
+            for r in reps))
         same = (same and p == dagger(p) and got.flags == want.flags
                 and (got.verdict, got.pairs) == (want.verdict, want.pairs))
         for a, b in zip(got.converged, want.converged):
@@ -721,6 +734,29 @@ def _hermitian_route(fault):
         f"{'; '.join(summary)}; same flags and verdicts: {same}, worst "
         f"relative converged deviation {worst:.3e}; h + 0.1i J keeps the "
         f"eig eigenvalues: {eig_kept}")
+
+
+@_register("spectral", "planar grid vs Casimir sectors")
+def _grid_vs_sectors(fault):
+    # the spectrum_planar member at planar 20: its 10 lowest-|E| converged
+    # sector eigenvalues against eig of the planar grids 16 and 20, the
+    # dense route the sectors replace.  The grid eigenvalues change their
+    # last bits with the BLAS thread count, so the detail counts matches
+    # instead of printing the deviation
+    p = build_pt5(with_special_choice(
+        Mu(mu1=1.0, mu3=1.0, mu4=2.0, mu5=0.5, mu6=0.5)), 2.0)
+    report = diagonalize_classify(p, make_representation("planar", 2.0, 20))
+    lowest = np.array(sorted(report.converged, key=abs)[:10])
+    grid = np.concatenate([
+        eig(real_gauge(poly_to_matrix(p, r), r))
+        for r in (make_representation("planar", 2.0, n) for n in (16, 20))])
+    dev = np.abs(lowest[:, None] - grid[None, :]).min(axis=1) / np.abs(lowest)
+    matched = int(np.sum(dev < 1e-10))
+    return len(lowest) == 10 and matched == 10, (
+        f"{report.verdict}, pairs={report.pairs}, "
+        f"{len(report.converged)} converged; {matched} of the "
+        f"{len(lowest)} lowest-|E| (up to {abs(lowest[-1]):.6f}) within "
+        f"1e-10 relative of a planar grid 16 or 20 eigenvalue")
 
 
 SUITES = tuple(dict.fromkeys(check.suite for check in CHECKS))

@@ -414,3 +414,29 @@ def test_truncation_at_the_limit_is_accepted(rep):
         {"representation": rep}, "pt5-general")
     assert (kind, delta) == (rep["kind"], rep.get("delta"))
     assert dims == (tuple(rep["dims"]) if kind == "planar" else rep["dims"])
+
+
+_PLANAR = "configs/spectrum_planar.json"
+
+
+@pytest.mark.parametrize("dims", [[5, 12], [12, 5], [2, 8]])
+def test_planar_spectrum_keeps_nx_ny_eigenvalues(dims, capsys):
+    # N_x Casimir sectors of N_y levels each: the document still lists
+    # N_x N_y eigenvalues, whichever axis is the longer
+    code = cli.main(["spectrum", "-c", _PLANAR, "--set",
+                     "representation.dims=" + json.dumps(dims)])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    doc = json.loads(captured.out)
+    assert doc["representation"]["dims"] == dims
+    assert len(doc["eigenvalues"]) == dims[0] * dims[1]
+
+
+def test_planar_below_16_states_is_a_numeric_failure(capsys):
+    # the guard counts the N_x N_y grid, not the levels of a sector
+    code = cli.main(["spectrum", "-c", _PLANAR, "--set",
+                     'representation={"kind": "planar", "dims": [3, 5]}'])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        3, "", "numeric failure: matrix size below 16 is all edge, "
+               "no interior\n")

@@ -3,10 +3,11 @@
 
 Five of the files pass through LAPACK: the four fock and planar
 `spectrum_*.json` (fock pairs and planar take numpy's `eigvals` on the real
-route of `real_gauge`, general-coeffs on the complex one, and hermitian,
-the worked member's Hermitian counterpart, takes `eigvalsh`) and
-`verify.json` (the spectral checks' details).  They are compared byte for
-byte too: `tests/conftest.py` pins BLAS to one thread, and each was seen
+route of `real_gauge`, planar as one stack of fock Casimir sectors per
+truncation, general-coeffs on the complex route, and hermitian, the worked
+member's Hermitian counterpart, takes `eigvalsh`) and `verify.json` (the
+spectral checks' details).  They are compared byte for byte too:
+`tests/conftest.py` pins BLAS to one thread, and each was seen
 byte-identical with one thread and with two.
 
 The in-process runs follow tests that have already imported scipy; the
@@ -14,6 +15,7 @@ fresh-process runs start as a CLI call does, and no shipped config may
 import scipy.linalg or scipy.optimize there: every data command gets its
 eigenvalues from numpy, and scipy stands only behind `verify`'s oracles."""
 
+import json
 import os
 import re
 import subprocess
@@ -95,3 +97,29 @@ def test_fresh_process_output_matches_golden(command, golden, tmp_path):
                 for line in proc.stderr.splitlines()
                 if line.startswith("import time:")}
     assert not imported & {"scipy.linalg", "scipy.optimize"}
+
+
+@pytest.mark.parametrize("which", ["H", "h"])
+@pytest.mark.parametrize("dims", [14, 20])
+def test_planar_spectrum_bytes_do_not_depend_on_the_thread_count(
+        which, dims, tmp_path):
+    # the worked member at theta 12 on planar 14 and 20, where the grid's
+    # eig and eigvalsh gave different last bits at 1 and 2 BLAS threads;
+    # its Casimir sectors do not
+    config = TESTS.parent / "configs" / "spectrum_hermitian.json"
+    rep = json.dumps({"kind": "planar", "dims": dims})
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(TESTS.parent / "src")]
+            + [p for p in [env.get("PYTHONPATH")] if p])
+        out = tmp_path / f"{threads}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "deformed_e2.cli", "spectrum",
+             "-c", str(config), "--set", f'hamiltonian="{which}"',
+             "--set", f"representation={rep}", "-o", str(out)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
