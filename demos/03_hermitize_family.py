@@ -46,9 +46,12 @@ def main():
     print()
 
     print("cross-check with the generic solver (no PT5 closed forms):")
-    num_params, residual = solve_generic_numeric(extract_coeffs(ham), theta)
+    num_params, residual, num_h = solve_generic_numeric(extract_coeffs(ham),
+                                                        theta)
     print("  numeric map:", num_params)
     print("  certificate residual:", residual)
+    print("  numeric h vs closed form:", max(
+        abs(a - b) for a, b in zip(num_h.c, extract_coeffs(closed).c)))
 
 
 if __name__ == "__main__":

@@ -591,10 +591,8 @@ def cmd_ep(cfg):
 # hermitize
 
 
-def _coeff_doc(poly):
-    c = extract_coeffs(poly)
-    return {name: [c.c[j].real, c.c[j].imag]
-            for j, name in enumerate(_COEFF_NAMES)}
+def _coeff_doc(coeffs):
+    return {name: [z.real, z.imag] for name, z in zip(_COEFF_NAMES, coeffs.c)}
 
 
 def cmd_hermitize(cfg):
@@ -614,7 +612,7 @@ def cmd_hermitize(cfg):
         conj = adjoint_poly(params, build_pt5(toy_mu(mu1, mu4, lam), theta))
         extra = {
             "residual": hermiticity_residual(conj),
-            "h": _coeff_doc(conj),
+            "h": _coeff_doc(extract_coeffs(conj)),
             "epsilon": eps,
             "shift_engine": conj.coeff(0, 0, 0).real,
             "shift_stated": shift,
@@ -630,16 +628,15 @@ def cmd_hermitize(cfg):
         echo = {**values, "mu7": mu.mu7, "mu9": mu.mu9}
         extra = {
             "residual": hermiticity_residual(conj),
-            "h": _coeff_doc(closed),
+            "h": _coeff_doc(extract_coeffs(closed)),
             "closed_vs_engine": max_coeff_diff(closed, conj),
         }
     else:  # general-coeffs
-        coeffs = coeffs_from_values(values)
-        params, residual = solve_generic_numeric(coeffs, theta)
-        conj = adjoint_poly(params, build_general(coeffs, theta))
+        params, residual, h = solve_generic_numeric(
+            coeffs_from_values(values), theta)
         extra = {
             "residual": residual,
-            "h": _coeff_doc(conj),
+            "h": _coeff_doc(h),
             "certified": bool(residual <= CERT_TOL),
         }
     doc = {"model": model, "params": {**echo, "theta": theta},

@@ -778,7 +778,8 @@ def _toy_point(p):
 
 def _coeffs_point(p):
     """(phase, margin, Dyson map) of a general-coeffs grid point."""
-    params, residual = solve_generic_numeric(coeffs_from_values(p), p["theta"])
+    params, residual, _ = solve_generic_numeric(coeffs_from_values(p),
+                                                p["theta"])
     # a failed search is no proof of the broken phase; the margin is the
     # certificate residual's distance from its threshold
     phase = SYMMETRIC if residual <= CERT_TOL else UNRESOLVED
@@ -958,15 +959,6 @@ def _conjugated_coeffs(cmat, theta, lam, rho, tau):
     return q.reshape(-1, 16) @ product_table(theta).reshape(16, 10)
 
 
-def _residual_rows(cmat, theta, lam, rho, tau):
-    """Hermiticity residuals of eta H eta^-1 for arrays of maps, shape (n, 10).
-
-    Every residual the solvers search on, and certify on, comes from here.
-    """
-    return constraint_residuals(
-        _conjugated_coeffs(cmat, theta, lam, rho, tau), theta)
-
-
 def _max_abs(r):
     """Row-wise max |r|, with inf for rows that are not finite."""
     m = np.max(np.abs(r), axis=-1)
@@ -1003,9 +995,11 @@ def _c1_zero_solution(cmat0, theta):
     """
     def solve(lam):
         n = len(lam)
-        b, r_rho, r_tau = _residual_rows(
+        r = _conjugated_coeffs(
             cmat0, theta, np.tile(lam, 3), np.repeat([0.0, 1.0, 0.0], n),
-            np.repeat([0.0, 0.0, 1.0], n))[:, [1, 6, 7, 8]].reshape(3, n, 4)
+            np.repeat([0.0, 0.0, 1.0], n))
+        b, r_rho, r_tau = constraint_residuals(r, theta)[
+            :, [1, 6, 7, 8]].reshape(3, n, 4)
         a = np.stack([r_rho - b, r_tau - b], axis=-1)
         bad = ~(np.isfinite(a).all(axis=(1, 2)) & np.isfinite(b).all(axis=1))
         a[bad], b[bad] = 0.0, 0.0
@@ -1018,21 +1012,22 @@ def _c1_zero_solution(cmat0, theta):
 def _gauss_newton(cmat, theta, x):
     """Gauss-Newton on all ten residuals over x = (lam, rho, tau).
 
-    Returns the last iterate and its max-norm residual, from the same
-    `_residual_rows` call that gives the step's finite differences.  Steps
-    go on while that residual keeps decreasing, at most nine after x, so the
-    last iterate is the best; they stop at a Jacobian that is not finite,
-    where no nearby point can certify either.
+    Returns the last iterate, its max-norm residual and its conjugated
+    c_1..c_10, from the same `_conjugated_coeffs` call that gives the step's
+    finite differences.  Steps go on while that residual keeps decreasing,
+    at most nine after x, so the last iterate is the best; they stop at a
+    Jacobian that is not finite, where no nearby point can certify either.
     """
-    best = (x, math.inf)
+    best = (x, math.inf, None)
     for _ in range(10):
         h = 1e-7 * np.maximum(1.0, np.abs(x))
         pts = x + np.vstack([np.zeros(3), np.diag(h)])
-        r = _residual_rows(cmat, theta, pts[:, 0], pts[:, 1], pts[:, 2])
+        rows = _conjugated_coeffs(cmat, theta, pts[:, 0], pts[:, 1], pts[:, 2])
+        r = constraint_residuals(rows, theta)
         size = float(_max_abs(r[0]))
         if not size < best[1]:
             break
-        best = (x, size)
+        best = (x, size, rows[0])
         jac = (r[1:] - r[0]).T / h
         if not np.isfinite(jac).all():
             break
@@ -1052,10 +1047,12 @@ def solve_generic_numeric(coeffs, theta):
     residual is Im c1 for every map: when |Im c1| > CERT_TOL nothing can
     certify, and the identity map comes back unpolished.
 
-    Every residual is a row of `_residual_rows`, the one evaluation route:
-    the first polished map whose max-norm residual is at most CERT_TOL is
-    returned (Symmetric phase), otherwise the map with the smallest
-    residual.  The independent route is the exp(ad) oracle of `verify` and
+    Every residual is a row of `_conjugated_coeffs`, the one evaluation of
+    the 10x10 map: the first polished map whose max-norm residual is at
+    most CERT_TOL is returned (Symmetric phase), otherwise the map with the
+    smallest residual.  Returns (params, residual, h), with h the
+    HamiltonianCoeffs of eta H eta^-1 at that map, the row the residual was
+    taken on.  The independent route is the exp(ad) oracle of `verify` and
     the benchmark check.  A failed search proves nothing about the phase.
     """
     c = np.array(coeffs.c, dtype=complex)
@@ -1063,18 +1060,20 @@ def solve_generic_numeric(coeffs, theta):
     search = abs(c[0].imag) <= CERT_TOL
     with np.errstate(all="ignore"):
         maps = _candidate_maps(c, cmat, theta) if search else np.zeros((3, 1))
-        m = _max_abs(_residual_rows(cmat, theta, *maps))
-        best = (maps[:, 0], m[0])
+        rows = _conjugated_coeffs(cmat, theta, *maps)
+        m = _max_abs(constraint_residuals(rows, theta))
+        best = (maps[:, 0], m[0], rows[0])
         for i in np.lexsort((np.abs(maps[0]), m))[:3 * search]:
             found = _gauss_newton(cmat, theta, maps[:, i])
             if found[1] <= best[1]:
                 best = found
             if best[1] <= CERT_TOL:
                 break
-    x, residual = best
+    x, residual, h = best
     if not residual < math.inf:
         raise ArithmeticError("residuals non-finite at every candidate map")
-    return DysonParams(float(x[0]), float(x[1]), float(x[2]), theta), residual
+    return (DysonParams(float(x[0]), float(x[1]), float(x[2]), theta),
+            residual, HamiltonianCoeffs(tuple(h)))
 
 
 def _candidate_maps(c, cmat, theta):
@@ -1090,11 +1089,13 @@ def _candidate_maps(c, cmat, theta):
     maps = []
     if c[0] != 0:
         solve = _uj_vj_solution(c)
-        maps.append(_curve_maps(solve, _residual_rows(
-            cmat, theta, _LAM_NODES, *solve(_LAM_NODES))))
+        r = _conjugated_coeffs(cmat, theta, _LAM_NODES, *solve(_LAM_NODES))
+        maps.append(_curve_maps(solve, constraint_residuals(r, theta)))
     rows = [4, 5] if c[4] or c[5] else [6, 7, 8]
-    maps.append(_curve_maps(_c1_zero_solution(cmat0, theta), _residual_rows(
-        cmat0, theta, _LAM_NODES, *np.zeros((2, _LAM_NODES.size)))[:, rows]))
+    r = _conjugated_coeffs(cmat0, theta, _LAM_NODES,
+                           *np.zeros((2, _LAM_NODES.size)))
+    maps.append(_curve_maps(_c1_zero_solution(cmat0, theta),
+                            constraint_residuals(r, theta)[:, rows]))
     return np.concatenate(maps, axis=1)
 
 
@@ -1127,11 +1128,11 @@ def solve_generic_multistart(coeffs, theta):
 
     An independent route that the tests and `verify` compare
     `solve_generic_numeric` against; the CLI does not call it.
-    Multi-start quasi-Newton on the summed squared Hermiticity residuals,
-    one row of `_residual_rows` per point, each start polished by nonlinear
-    least squares.  Returns at the first start whose max-norm residual is
-    at most CERT_TOL, which certifies a numerically Hermitizing real map
-    (Symmetric phase); otherwise returns the best of all starts.  Failure
+    Multi-start quasi-Newton on the summed squared Hermiticity residuals
+    of one `_conjugated_coeffs` row per point, each start polished by
+    nonlinear least squares.  Returns at the first start whose max-norm
+    residual is at most CERT_TOL, which certifies a numerically Hermitizing
+    real map (Symmetric phase), otherwise the best of all starts.  Failure
     to certify is only a candidate for the broken phase, never a proof.
     The starts are zero, then 15 draws from a fixed generator, so the
     search is deterministic.
@@ -1139,7 +1140,8 @@ def solve_generic_multistart(coeffs, theta):
     cmat = _coeff_matrix(coeffs.c)
 
     def resid(x):
-        r = _residual_rows(cmat, theta, x[:1], x[1:2], x[2:])[0]
+        r = constraint_residuals(
+            _conjugated_coeffs(cmat, theta, x[:1], x[1:2], x[2:]), theta)[0]
         return np.where(np.isfinite(r), r, 1e50)
 
     def objective(x):

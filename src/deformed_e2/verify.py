@@ -364,7 +364,7 @@ def _elimination_vs_multistart(fault):
     # planted: eta^-1 h eta for a Hermitian h and a real map, one with
     # c1 = 0; generic: random complex coefficients, which no map certifies
     rng = np.random.default_rng(11)
-    agree, certified, worst = True, 0, 0.0
+    agree, certified, worst, drift = True, 0, 0.0, 0.0
     for k in range(6):
         theta = float(rng.uniform(-2, 2))
         if k < 4:
@@ -380,19 +380,23 @@ def _elimination_vs_multistart(fault):
         else:
             coeffs = HamiltonianCoeffs(tuple(
                 complex(x, y) for x, y in rng.uniform(-1, 1, (10, 2))))
-        params, residual = solve_generic_numeric(coeffs, theta)
+        params, residual, h = solve_generic_numeric(coeffs, theta)
         multi = solve_generic_multistart(coeffs, theta)[1]
         agree = agree and (residual <= CERT_TOL) == (multi <= CERT_TOL)
         if residual <= CERT_TOL:
             certified += 1
             ham = build_general(coeffs, theta)
             conj = adjoint_poly(params, ham, route="oracle")
-            worst = max(worst, hermiticity_residual(conj)
-                        / max(1.0, ham.max_abs_coeff()))
-    return (agree and certified == 4 and worst <= 1e-8,
+            scale = max(1.0, ham.max_abs_coeff())
+            worst = max(worst, hermiticity_residual(conj) / scale)
+            # the row the solver certified against the oracle's conjugation
+            drift = max(drift, np.max(np.abs(
+                np.subtract(h.c, extract_coeffs(conj).c))) / scale)
+    return (agree and certified == 4 and worst <= 1e-8 and drift <= 1e-10,
             f"routes agree on {'all' if agree else 'not all'} 6 inputs, "
             f"{certified} of 4 planted certified; worst relative oracle "
-            f"Hermiticity residual {worst:.3e}")
+            f"Hermiticity residual {worst:.3e}, solver row vs oracle "
+            f"conjugation {drift:.3e}")
 
 
 _WORKED_MU = with_special_choice(Mu(mu1=1.0, mu2=0.0, mu3=1.0, mu4=2.0,

@@ -623,6 +623,49 @@ def test_hermitize_broken_toy_fails_numerically(tmp_path):
     assert cli.main(["hermitize", "-c", cfg]) == 3
 
 
+# draw 782 of `_hard_family` in tests/test_models.py: c1 = 1e-9 and
+# coefficients in the thousands, where a second conjugation of H moved the
+# printed h off its certificate (residual 7.6e-10, h's own 2.79e-9)
+_HARD_DRAW_THETA = 3.6148225264946863
+_HARD_DRAW_C = [
+    (1e-09+0j), (17.079143883546294-40.85676224947789j),
+    (-5665.464522727676+3533.162182799918j),
+    (-3538.6142245662018-5641.979052902989j),
+    (19.385292805809605+10.00775791906679j),
+    (-10.015046408518977+19.37118508490904j),
+    (-775.4987478872794-1440.3629676424637j),
+    (779.1148774784793+1429.0604038374581j),
+    (2869.4163421142894-1554.608651041886j),
+    (1165.0533821076185+333.00048137600726j)]
+
+
+def test_hermitize_general_prints_the_row_it_certified(tmp_path, capsys):
+    fixed = {}
+    for k, z in enumerate(_HARD_DRAW_C, 1):
+        fixed[f"c{k}"], fixed[f"c{k}_im"] = z.real, z.imag
+    cfg = write_config(tmp_path, "hard.json", {
+        "model": "general-coeffs", "theta": _HARD_DRAW_THETA,
+        "fixed": fixed})
+    code, out = run(capsys, ["hermitize", "-c", cfg])
+    assert code == 0
+    doc = json.loads(out)
+    h = models.HamiltonianCoeffs(tuple(
+        complex(*doc["h"][f"c{k}"]) for k in range(1, 11)))
+    assert doc["certified"] is True
+    assert doc["residual"] == np.max(np.abs(
+        models.constraint_residuals(h, _HARD_DRAW_THETA)))
+
+
+def test_hermitize_general_makes_no_engine_conjugation(capsys, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("adjoint_poly was called")
+    monkeypatch.setattr(cli, "adjoint_poly", forbidden)
+    code, out = run(capsys, ["hermitize", "-c",
+                             "configs/hermitize_general.json"])
+    assert code == 0
+    assert json.loads(out)["certified"] is True
+
+
 # the worked special-choice member is Broken at theta = 4: |coth ratio| = 1/3
 _BROKEN_SPECIAL = ["--set", "model=\"pt5-special\"", "--set", "theta=4.0",
                    "--set", "fixed={\"mu1\": 1.0, \"mu2\": 0.0, \"mu3\": 1.0, "

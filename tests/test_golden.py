@@ -1,13 +1,14 @@
 """Byte-for-byte CLI output on every shipped config and on the `verify
 --json` report; a refactor that keeps behaviour keeps these bytes.
 
-Five of the files pass through LAPACK: the four fock and planar
+Six of the files pass through LAPACK: the four fock and planar
 `spectrum_*.json` (fock pairs and planar take numpy's `eigvals` on the real
 route of `real_gauge`, planar as one stack of fock Casimir sectors per
 truncation, general-coeffs on the complex route, and hermitian, the worked
-member's Hermitian counterpart, takes `eigvalsh`) and `verify.json` (the
-spectral checks' details).  They are compared byte for byte too:
-`tests/conftest.py` pins BLAS to one thread, and each was seen
+member's Hermitian counterpart, takes `eigvalsh`), `hermitize_general.json`
+(the solver's colleague-matrix `eigvals` and Gauss-Newton `lstsq`) and
+`verify.json` (the spectral checks' details).  They are compared byte for
+byte too: `tests/conftest.py` pins BLAS to one thread, and each was seen
 byte-identical with one thread and with two.
 
 The in-process runs follow tests that have already imported scipy; the
@@ -34,6 +35,7 @@ CASES = [("classify", "classify_mu3_sweep.csv"),
          ("classify", "classify_deformed_grid.csv"),
          ("ep", "ep_theta_sweep.json"),
          ("hermitize", "hermitize_special.json"),
+         ("hermitize", "hermitize_general.json"),
          ("spectrum", "spectrum_toy.json"),
          ("spectrum", "spectrum_fock_pairs.json"),
          ("spectrum", "spectrum_planar.json"),

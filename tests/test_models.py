@@ -354,7 +354,7 @@ def test_toy_model_argument_validation():
 def test_generic_numeric_solver_finds_closed_form():
     # J^2 + 2U + iV at theta = 0: the closed-form answer is lam = ln(3)/2
     coeffs = HamiltonianCoeffs((1.0, 0.0, 2.0, 1j, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
-    params, residual = solve_generic_numeric(coeffs, 0.0)
+    params, residual, _ = solve_generic_numeric(coeffs, 0.0)
     assert residual < 1e-12
     assert abs(params.lam - HALF_LN3) < 1e-6
     assert abs(params.rho) < 1e-6 and abs(params.tau) < 1e-6
@@ -364,14 +364,14 @@ def test_generic_numeric_solver_hermitian_input():
     # already hermitian and J-invariant: every exp(lam J) is a solution, and
     # the tie goes to the smallest |lam|, the identity map
     coeffs = HamiltonianCoeffs((1.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.3, 0.3, 0.0, 0.0))
-    params, residual = solve_generic_numeric(coeffs, 1.0)
+    params, residual, _ = solve_generic_numeric(coeffs, 1.0)
     assert residual < 1e-10
     assert (params.lam, params.rho, params.tau) == (0.0, 0.0, 0.0)
 
 
 def test_generic_matches_special_on_worked_family():
     coeffs = build_pt5(WORKED, 12.0)
-    params, residual = solve_generic_numeric(extract_coeffs(coeffs), 12.0)
+    params, residual, _ = solve_generic_numeric(extract_coeffs(coeffs), 12.0)
     assert residual < 1e-9
     # the special-choice map: lam = ln2/2, rho = -lam, tau = 0
     assert params.lam == pytest.approx(HALF_LN2, abs=1e-12)
@@ -483,14 +483,15 @@ def test_solver_makes_no_engine_products(monkeypatch):
 
 def test_solver_residual_is_one_of_its_own_rows(monkeypatch):
     seen = set()
-    real = models._residual_rows
+    real = models._conjugated_coeffs
 
-    def recorded(*args):
-        r = real(*args)
-        seen.update(models._max_abs(r).tolist())
-        return r
+    def recorded(cmat, theta, *maps):
+        rows = real(cmat, theta, *maps)
+        seen.update(models._max_abs(
+            constraint_residuals(rows, theta)).tolist())
+        return rows
 
-    monkeypatch.setattr(models, "_residual_rows", recorded)
+    monkeypatch.setattr(models, "_conjugated_coeffs", recorded)
     cases = list(_planted_family(5))   # c1 generic, 0, 1e-9, 1e-12
     rng = np.random.default_rng(5)
     for c1 in (0.3 + 0.4j, 0.8, 0.0):   # uncertifiable, real, zero
@@ -558,7 +559,7 @@ def test_elimination_certifies_what_the_multistart_certifies():
               for theta, a, eta in _MISSED_BY_BRACKETS]
     certified = 0
     for coeffs, theta in cases:
-        params, residual = solve_generic_numeric(coeffs, theta)
+        params, residual, _ = solve_generic_numeric(coeffs, theta)
         _, multi = solve_generic_multistart(coeffs, theta)
         assert residual <= CERT_TOL or multi > CERT_TOL, (coeffs, theta)
         if residual <= CERT_TOL:
@@ -610,9 +611,13 @@ def _hard_family(n):
 
 def test_hard_family_certifies():
     # every input is planted; the few misses sit at the rounding floor of
-    # CERT_TOL, which is absolute while the residuals grow with max |c|
-    certified = sum(solve_generic_numeric(coeffs, theta)[1] <= CERT_TOL
-                    for coeffs, theta in _hard_family(1500))
+    # CERT_TOL, which is absolute while the residuals grow with max |c|.
+    # The returned row is the one the returned residual was taken on.
+    certified = 0
+    for coeffs, theta in _hard_family(1500):
+        _, residual, h = solve_generic_numeric(coeffs, theta)
+        assert residual == np.max(np.abs(constraint_residuals(h, theta)))
+        certified += residual <= CERT_TOL
     assert certified >= 1492, certified
 
 
@@ -625,22 +630,22 @@ def test_elimination_never_calls_the_optimizers(monkeypatch):
         assert solve_generic_numeric(coeffs, theta)[1] <= CERT_TOL
 
 
-def _counting_residual_rows(monkeypatch):
+def _counting_conjugated_coeffs(monkeypatch):
     calls = []
-    real = models._residual_rows
+    real = models._conjugated_coeffs
 
     def counted(*args):
         calls.append(1)
         return real(*args)
 
-    monkeypatch.setattr(models, "_residual_rows", counted)
+    monkeypatch.setattr(models, "_conjugated_coeffs", counted)
     return calls
 
 
 def test_uncertifiable_real_c1_solves_stay_cheap(monkeypatch):
     # random coefficients with real c1: both elimination curves are sampled
     # and the best three candidates polished, yet no map certifies
-    calls = _counting_residual_rows(monkeypatch)
+    calls = _counting_conjugated_coeffs(monkeypatch)
     rng = np.random.default_rng(7)
     worst = 0
     for _ in range(30):
@@ -656,7 +661,7 @@ def test_uncertifiable_real_c1_solves_stay_cheap(monkeypatch):
 def test_complex_c1_is_unresolved_after_one_evaluation(monkeypatch):
     # the J^2 residual is Im c1 for every map, so no search runs: the
     # identity map comes back with its own residual
-    calls = _counting_residual_rows(monkeypatch)
+    calls = _counting_conjugated_coeffs(monkeypatch)
     rng = np.random.default_rng(3)
     z = rng.uniform(-1.0, 1.0, 10) + 1j * rng.uniform(-1.0, 1.0, 10)
     values = {f"c{k + 1}": x.real for k, x in enumerate(z)}
