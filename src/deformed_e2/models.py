@@ -147,29 +147,27 @@ class MuAbbrev(NamedTuple):
     @classmethod
     def from_mu(cls, mu):
         """The abbreviations of `mu`, whose fields are floats or, for a
-        block of members, float64 columns of one length."""
+        block of members, float64 columns of one length; squares are x * x
+        on both, and abbreviations past the float range raise (`_finite`)."""
         mu1 = mu.mu1
         if (mu1 == 0).any() if isinstance(mu1, np.ndarray) else mu1 == 0:
             raise ValueError("mu1 must be nonzero")
-        sq5, sq6 = _pow2(mu.mu5), _pow2(mu.mu6)
-        return cls(
-            (sq5 + sq6) / (4 * mu.mu1) - mu.mu7 + mu.mu8,        # mu78
-            mu.mu5 * mu.mu6 / (2 * mu.mu1) - mu.mu9,             # mu19
-            mu.mu2 * mu.mu5 / (2 * mu.mu1) - mu.mu6 / 2 - mu.mu3,  # mu23
-            mu.mu2 * mu.mu6 / (2 * mu.mu1) - mu.mu5 / 2 - mu.mu4,  # mu24
-            sq6 / (4 * mu.mu1) + mu.mu8,                         # mu68
-        )
+        sq6 = mu.mu6 * mu.mu6
+        return cls(*_finite(
+            (mu.mu5 * mu.mu5 + sq6) / (4 * mu1) - mu.mu7 + mu.mu8,  # mu78
+            mu.mu5 * mu.mu6 / (2 * mu1) - mu.mu9,                   # mu19
+            mu.mu2 * mu.mu5 / (2 * mu1) - mu.mu6 / 2 - mu.mu3,      # mu23
+            mu.mu2 * mu.mu6 / (2 * mu1) - mu.mu5 / 2 - mu.mu4,      # mu24
+            sq6 / (4 * mu1) + mu.mu8,                               # mu68
+        ))
 
 
-def _pow2(x):
-    """x ** 2 by Python's float pow, value by value on a float64 column.
-
-    numpy squares by x * x, which rounds differently from pow on about 9
-    in 10,000 values, and only pow raises OverflowError past the float range.
-    """
-    if isinstance(x, np.ndarray):
-        return np.array([v ** 2 for v in x.tolist()])
-    return x ** 2
+def _finite(*values):
+    """`values` if each is finite, else the OverflowError of float pow."""
+    if not (np.isfinite(values).all() if isinstance(values[0], np.ndarray)
+            else all(map(cmath.isfinite, values))):
+        raise OverflowError(34, "Numerical result out of range")
+    return values
 
 
 def _mu56(mu, ch, sh):
@@ -481,8 +479,8 @@ def _mu3_quintics(mu, ab, theta):
     r = np.stack([a0 - g * ab.mu68, a1 + 3 * g * c - h * ab.mu68,
                   3 * h * c - 2 * g * ab.mu78, -a1 + 4 * g * c + h * d,
                   -a0 + g * d + h * c, g * c], axis=1)
-    noise = 8 * math.ulp(1.0) * (_pow2(abs(mu.mu5) + abs(mu.mu6)) / abs(
-        4 * mu.mu1) + abs(mu.mu7) + abs(mu.mu8) + abs(mu.mu9))
+    noise, = _finite(8 * math.ulp(1.0) * (np.square(abs(mu.mu5) + abs(mu.mu6))
+        / abs(4 * mu.mu1) + abs(mu.mu7) + abs(mu.mu8) + abs(mu.mu9)))
     # t - s divides (1 - t^2) A once (thrice if mu23 = s mu24), L twice if
     # mu6 = s mu5, Q once if mu78 = s mu19 up to their rounding noise
     k = np.stack([np.minimum(1 + 2 * (ab.mu23 == s * ab.mu24),
@@ -619,7 +617,7 @@ def _pt5_verdicts(mode, mu, theta):
     column.
 
     The same code runs on both: + - * / and abs in the order of the scalar
-    formulas, squares by `_pow2`, comparisons, and `_where` for each
+    formulas, squares as x * x, comparisons, and `_where` for each
     choice, so a point in a block gets the bits it gets alone.  Per point
     are only the libm scalars: arccoth, and the deformed roots' polish and
     least |F|.  A deformed point alone is classified as a block of one.
@@ -863,10 +861,11 @@ def toy_mu(mu1, mu4, lam):
 def toy_dyson_params(mu1, mu4, lam, theta):
     """The Dyson map of the toy family member at the given lam:
     rho = lam mu4/(2 mu1 sinh^2(lam/2)), tau = 0.  A complex lam (as from
-    `toy_lambda`, complex on the broken branch) takes complex arithmetic."""
+    `toy_lambda`, complex on the broken branch) takes complex arithmetic.
+    A rho past the float range raises."""
     # a real lam stays in float arithmetic, whose squaring rounds differently
     sinh = cmath.sinh if isinstance(lam, complex) else math.sinh
-    rho = lam * mu4 / (2 * mu1 * sinh(lam / 2) ** 2)
+    rho, = _finite(lam * mu4 / (2 * mu1 * sinh(lam / 2) ** 2))
     return DysonParams(lam, rho, 0.0, theta)
 
 
@@ -883,7 +882,7 @@ def toy_model(mu1, mu4, lam=None, theta=0.0, mu3=None):
     closed form; the engine conjugation arbitrates the scalar (see tests).
     Pass either lam directly or mu3 for the inverse parameterization
     lam = 2 arccoth(mu3/mu4); |mu3/mu4| <= 1 makes lam complex and is
-    rejected as broken-phase.
+    rejected as broken-phase.  An eps or shift past the float range raises.
     """
     if mu1 == 0:
         raise ValueError("mu1 must be nonzero")
@@ -901,6 +900,7 @@ def toy_model(mu1, mu4, lam=None, theta=0.0, mu3=None):
     s2 = math.sinh(lam / 2) ** 2
     eps = theta * mu4 ** 2 / (mu1 * s2)
     shift = theta * mu4 ** 2 / mu1 * (eps - 1 / math.tanh(lam / 2))
+    _finite(eps, shift)
     h = OperatorPoly({(0, 0, 2): mu1, (0, 0, 1): eps, (0, 0, 0): shift},
                      theta)
     return h, eps, shift

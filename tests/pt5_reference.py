@@ -4,9 +4,10 @@ verdicts became column arithmetic.
 
 `models.classify_points` decides a block of points with array arithmetic;
 the tests hold it to this route bit for bit, NaN for NaN.  The scalar
-pieces both routes share (the abbreviations, `arccoth`, `_rho`) come from
-`models`; the ratio tests, the quintic's synthetic division, the root
-filter, the secant polish and the verdict selection are this module's own.
+pieces both routes share (the abbreviations, the overflow rule `_finite`,
+`arccoth`, `_rho`) come from `models`; the ratio tests, the quintic's
+synthetic division, the root filter, the secant polish and the verdict
+selection are this module's own.
 """
 
 import math
@@ -21,6 +22,7 @@ from deformed_e2.models import (
     MU_NAMES,
     Mu,
     MuAbbrev,
+    _finite,
     _mu56,
     _rho,
     _special_ratio,
@@ -92,8 +94,9 @@ def mu3_quintic(mu, ab, theta):
     r = [a0 - g * ab.mu68, a1 + 3 * g * c - h * ab.mu68,
          3 * h * c - 2 * g * ab.mu78, -a1 + 4 * g * c + h * d,
          -a0 + g * d + h * c, g * c]
-    noise = 8 * math.ulp(1.0) * ((abs(mu.mu5) + abs(mu.mu6)) ** 2 / abs(
-        4 * mu.mu1) + abs(mu.mu7) + abs(mu.mu8) + abs(mu.mu9))
+    size = abs(mu.mu5) + abs(mu.mu6)
+    noise, = _finite(8 * math.ulp(1.0) * (size * size / abs(4 * mu.mu1) + abs(
+        mu.mu7) + abs(mu.mu8) + abs(mu.mu9)))
     e = [-1, -1, -1]
     for i, s in ((1, 1.0), (2, -1.0)):
         for _ in range(min(1 + 2 * (ab.mu23 == s * ab.mu24),

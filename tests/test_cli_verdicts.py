@@ -108,31 +108,65 @@ _OVERFLOWING_MATRIX = ["--set", 'model="pt5-general"', "--set",
                        '"mu9": 0}']
 
 
-@pytest.mark.parametrize("argv", [
-    ["classify", *_OVERFLOWING_MU, "--set",
-     'axes=[{"name": "theta", "min": 0, "max": 16, "steps": 3}]'],
-    ["ep", *_OVERFLOWING_MU, "--set",
-     'sweep={"name": "theta", "min": 0, "max": 16}', "--set", "tol=1e-7"],
-    ["hermitize", *_OVERFLOWING_MU, "--set", "theta=12"],
-    ["spectrum", *_OVERFLOWING_MU, "--set", "theta=1"],
-    ["classify", *_OVERFLOWING_GENERAL, "--set",
-     'axes=[{"name": "theta", "min": 0.5, "max": 2, "steps": 3}]'],
-    ["ep", *_OVERFLOWING_GENERAL, "--set",
-     'sweep={"name": "theta", "min": 0.5, "max": 2}'],
-    ["spectrum", *_OVERFLOWING_MATRIX, "--set", "theta=1"],
+# pt5-general members whose abbreviations leave the float range with no
+# square past it: mu78's sum of squares, and mu23 / mu1 at a tiny mu1
+_OVERFLOWING_SUM = ["--set", 'model="pt5-general"', "--set", "theta=0",
+                    "--set", 'fixed={"mu1": 1, "mu2": 0, "mu4": 2, '
+                    '"mu5": 1.3e154, "mu6": 1.3e154, "mu7": 0, "mu8": 0, '
+                    '"mu9": 0}']
+_OVERFLOWING_QUOTIENT = ["--set", 'model="pt5-general"', "--set", "theta=0",
+                         "--set", 'fixed={"mu1": 1e-300, "mu2": 0, '
+                         '"mu4": 2, "mu5": 1e5, "mu6": 0, "mu7": 0, '
+                         '"mu8": 0, "mu9": 0}']
+_MU3_AXIS = 'axes=[{"name": "mu3", "min": 0.5, "max": 2, "steps": 2}]'
+# toy members whose map rho, or whose epsilon and shift, leave the range
+_OVERFLOWING_TOY = ["--set", 'model="toy"', "--set", "theta=0.5"]
+_TOY_RHO = 'fixed={"mu1": 1e-10, "mu4": 1e300}'
+_TOY_EPSILON = 'fixed={"mu1": 1e-200, "mu4": 1e150, "mu3": 2e150}'
+_OVERFLOW = "numeric failure: (34, 'Numerical result out of range')\n"
+_NONFINITE_MU3 = "numeric failure: non-finite mu3 condition coefficients\n"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["classify", *_OVERFLOWING_MU, "--set",
+      'axes=[{"name": "theta", "min": 0, "max": 16, "steps": 3}]'],
+     _OVERFLOW),
+    (["ep", *_OVERFLOWING_MU, "--set",
+      'sweep={"name": "theta", "min": 0, "max": 16}', "--set", "tol=1e-7"],
+     _OVERFLOW),
+    (["hermitize", *_OVERFLOWING_MU, "--set", "theta=12"], _OVERFLOW),
+    (["spectrum", *_OVERFLOWING_MU, "--set", "theta=1"], _OVERFLOW),
+    (["classify", *_OVERFLOWING_GENERAL, "--set",
+      'axes=[{"name": "theta", "min": 0.5, "max": 2, "steps": 3}]'],
+     _NONFINITE_MU3),
+    (["ep", *_OVERFLOWING_GENERAL, "--set",
+      'sweep={"name": "theta", "min": 0.5, "max": 2}'], _NONFINITE_MU3),
+    (["spectrum", *_OVERFLOWING_MATRIX, "--set", "theta=1"],
+     "numeric failure: Array must not contain infs or NaNs\n"),
+    (["classify", *_OVERFLOWING_SUM, "--set", _MU3_AXIS], _OVERFLOW),
+    (["ep", *_OVERFLOWING_SUM, "--set",
+      'sweep={"name": "mu3", "min": 0.5, "max": 2}'], _OVERFLOW),
+    (["classify", *_OVERFLOWING_QUOTIENT, "--set", _MU3_AXIS], _OVERFLOW),
+    (["classify", *_OVERFLOWING_TOY, "--set", _TOY_RHO, "--set",
+      'axes=[{"name": "mu3", "min": 2e300, "max": 3e300, "steps": 2}]'],
+     _OVERFLOW),
+    (["hermitize", *_OVERFLOWING_TOY, "--set",
+      'fixed={"mu1": 1e-10, "mu4": 1e300, "mu3": 2e300}'], _OVERFLOW),
+    (["hermitize", *_OVERFLOWING_TOY, "--set", _TOY_EPSILON], _OVERFLOW),
+    (["spectrum", *_OVERFLOWING_TOY, "--set", _TOY_EPSILON], _OVERFLOW),
 ], ids=["classify", "ep", "hermitize", "spectrum", "general-classify",
-        "general-ep", "nonfinite-spectrum"])
-def test_overflowing_member_is_a_numeric_failure(argv, capsys):
+        "general-ep", "nonfinite-spectrum", "sum-classify", "sum-ep",
+        "quotient-classify", "toy-rho-classify", "toy-square-hermitize",
+        "toy-epsilon-hermitize", "toy-epsilon-spectrum"])
+def test_overflowing_member_is_a_numeric_failure(argv, err, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert cli.main(argv) == 3
     captured = capsys.readouterr()
-    assert "Traceback" not in captured.err
-    assert captured.err.startswith("numeric failure: ")
+    assert captured.out == "" and captured.err == err
 
 
 _MID_GRID = 'axes=[{"name": "mu5", "min": 1, "max": 1e300, "steps": 3}]'
-_OVERFLOW = "numeric failure: (34, 'Numerical result out of range')\n"
 
 
 @pytest.mark.parametrize("argv, err", [
@@ -151,7 +185,7 @@ _OVERFLOW = "numeric failure: (34, 'Numerical result out of range')\n"
       '"mu8": 0, "mu9": 0}', "--set",
       'axes=[{"name": "mu5", "min": 0.5, "max": 1e300, "steps": 2}, '
       '{"name": "mu4", "min": 1, "max": 1e300, "steps": 2}]'],
-     "numeric failure: non-finite mu3 condition coefficients\n"),
+     _NONFINITE_MU3),
     # 1,600 points, whose first failing point lies in the second block:
     # mu5 ** 2 overflows from row 358 on, and the deformed coefficients
     # leave the float range from row 299 on
@@ -163,9 +197,24 @@ _OVERFLOW = "numeric failure: (34, 'Numerical result out of range')\n"
       'fixed={"mu1": 1, "mu2": 0, "mu3": 1, "mu4": 2, "mu6": 1, "mu7": 0, '
       '"mu8": 0, "mu9": 0}', "--set",
       'axes=[{"name": "mu5", "min": 1, "max": 2.4e103, "steps": 1600}]'],
-     "numeric failure: non-finite mu3 condition coefficients\n"),
+     _NONFINITE_MU3),
+    # mu5 = 1, 6.5e153, 1.3e154 at mu6 = 1.3e154: no square overflows, but
+    # mu5^2 + mu6^2 in mu78 does from the middle point on
+    (["--set", 'model="pt5-special"', "--set",
+      'fixed={"mu1": 1, "mu2": 0, "mu3": 1, "mu4": 2, "mu6": 1.3e154, '
+      '"mu8": 0}', "--set",
+      'axes=[{"name": "mu5", "min": 1, "max": 1.3e154, "steps": 3}]'],
+     _OVERFLOW),
+    # every abbreviation is finite at mu1 = 1e300; only the square of
+    # |mu5| + |mu6| in the deformed quintic's rounding-noise bound overflows
+    (["--set", 'model="pt5-general"', "--set",
+      'fixed={"mu1": 1e300, "mu2": 0, "mu3": 1, "mu4": 2, "mu6": 9e153, '
+      '"mu7": 0, "mu8": 0, "mu9": 0}', "--set",
+      'axes=[{"name": "mu5", "min": 8.9e153, "max": 9e153, "steps": 2}]'],
+     _OVERFLOW),
 ], ids=["special", "deformed", "first-failure-in-row-order",
-        "special-second-block", "deformed-second-block"])
+        "special-second-block", "deformed-second-block", "special-sum",
+        "deformed-noise"])
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_failing_grid_point_prints_no_rows(argv, err, workers, capsys):
     with warnings.catch_warnings():

@@ -829,8 +829,8 @@ def _same_cells(a, b):
 
 
 def _pow_traps(rng):
-    """Members whose squares Python's pow and numpy's x * x round apart:
-    mu5, mu6, and |mu5| + |mu6| (the quintic's noise term) alone."""
+    """Members whose squares Python's pow and x * x round apart: mu5, mu6,
+    and |mu5| + |mu6| (the quintic's noise term) alone."""
     def trap(ok):
         while True:
             x = float(rng.uniform(-2.0, 2.0))
@@ -895,11 +895,15 @@ def _factor_classes(mu, theta):
     return classes
 
 
+_SPLIT_SQUARES = (0.5102, 0.6352, 0.8329, 0.9477)
+
+
 def _block_members(rng, model):
     """3,000 random members in three strata (deformed, theta = 0 and
     mu5 = mu6 = 0), with the exact-factor stratum and the degenerate,
-    close-root, overflowing-ratio and pow-trap members, shuffled so every
-    block mixes them; special members drop mu7 and mu9."""
+    close-root, overflowing-ratio, pow-trap and split-square members,
+    shuffled so every block mixes them; special members drop mu7 and
+    mu9."""
     members = []
     for k in range(3000):
         mu, theta = _random_deformed_member(rng)
@@ -917,6 +921,12 @@ def _block_members(rng, model):
     members += [(Mu(mu1=1.0, mu3=1.0, mu4=1e-320), theta)
                 for theta in (0.0, 1.0)]
     members += _pow_traps(rng) + _factor_stratum(rng)
+    # mu5 and mu6 whose squares x ** 2 rounds below x * x (0.5102 ** 2 is
+    # 0.26030403999999996, 0.5102 * 0.5102 is 0.26030404), mu5 = mu6 too;
+    # mu8 = 0 keeps the last bit of mu6^2 in mu68, the special ratio's term
+    members += [(Mu(1.0, 0.5, -4.0, -1.0, mu5, mu6, -0.5, 0.0, 0.25), theta)
+                for mu5 in _SPLIT_SQUARES for mu6 in _SPLIT_SQUARES
+                for theta in (0.0, 0.7, 3.1)]
     points = []
     for i in rng.permutation(len(members)):
         mu, theta = members[i]
