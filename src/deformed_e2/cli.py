@@ -182,8 +182,9 @@ def _model_values(cfg, model, command, swept=None):
     The PT5 and toy formulas divide by mu1, so it must be given, fixed or
     swept, and nonzero; toy spectrum and hermitize default it to 1, and
     spectrum of a pt5-general member divides by nothing and accepts 0.
-    `swept` maps each swept name to the values it takes; none may also be
-    fixed, theta included.
+    `swept` maps each swept name to the values it takes, or for ep to the
+    ends of the closed bracket it bisects; none may also be fixed, theta
+    included.
     """
     fixed = cfg.get("fixed", {})
     if not isinstance(fixed, dict):
@@ -216,7 +217,10 @@ def _model_values(cfg, model, command, swept=None):
     mu1s = [values["mu1"]] if "mu1" in values else list(swept.get("mu1", ()))
     if not mu1s and not toy_lam:
         raise ConfigError("mu1 must be given")
-    if 0 in mu1s and (command, model) != ("spectrum", "pt5-general"):
+    # ep may bisect to any point of its bracket, not only to the ends
+    straddles = command == "ep" and min(mu1s) <= 0 <= max(mu1s)
+    if ((0 in mu1s or straddles)
+            and (command, model) != ("spectrum", "pt5-general")):
         raise ConfigError("mu1 must be nonzero")
     return values
 
@@ -572,7 +576,7 @@ def cmd_ep(cfg):
     try:
         point, lo_phase, hi_phase = find_exceptional_point(
             family, (lo, hi), mode=mode, tol=tol)
-    except ValueError as exc:  # both ends in one phase, or mu1 = 0 between
+    except ValueError as exc:  # both ends in one phase
         raise ConfigError(str(exc))
     doc = {
         "model": model,

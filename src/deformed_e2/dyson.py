@@ -61,31 +61,6 @@ class DysonParams:
         return DysonParams(-self.lam, -self.rho, -self.tau, self.theta)
 
 
-@dataclass(frozen=True)
-class AdjointImage:
-    """eta g eta^{-1} = s0*1 + sU*U + sV*V + sJ*J for a single generator g.
-
-    Exactly four components; higher monomials never appear because the span
-    {1, U, V, J} is invariant under ad of any linear exponent.
-    """
-
-    s0: complex
-    sU: complex
-    sV: complex
-    sJ: complex
-
-    def as_poly(self, theta):
-        return OperatorPoly(
-            {(0, 0, 0): self.s0, (1, 0, 0): self.sU,
-             (0, 1, 0): self.sV, (0, 0, 1): self.sJ},
-            theta,
-        )
-
-    def max_diff(self, other):
-        return max(abs(self.s0 - other.s0), abs(self.sU - other.sU),
-                   abs(self.sV - other.sV), abs(self.sJ - other.sJ))
-
-
 def _lam_functions(lam):
     """cosh, sinh and the grouped ratios S = sinh(lam)/lam,
     C2 = (1-cosh(lam))/lam, C3 = (1-cosh(lam))/lam^2.
@@ -110,8 +85,9 @@ def _lam_functions(lam):
     return ch, sh, sh / lam, one_minus_ch / lam, one_minus_ch / lam ** 2
 
 
-# column of each generator in `image_matrix`
+# column of each generator in `image_matrix`, and the monomial of each row
 _BASIS_INDEX = {"U": 1, "V": 2, "J": 3}
+_MONOMIALS = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
 # ad_matrix orders its basis (U, V, J, 1); this lists it in (1, U, V, J)
 _AD_ORDER = [3, 0, 1, 2]
 
@@ -150,8 +126,9 @@ def image_matrix(params, route="closed"):
 
 
 def adjoint_generator_closed(params, g):
-    """Closed-form image of one generator under eta . eta^{-1}."""
-    return AdjointImage(*image_matrix(params)[:, _BASIS_INDEX[g]].tolist())
+    """Closed-form (1, U, V, J) components of eta g eta^{-1}: column g of
+    `image_matrix`."""
+    return image_matrix(params)[:, _BASIS_INDEX[g]]
 
 
 def lam_functions_array(lam):
@@ -200,9 +177,9 @@ def ad_matrix(params):
 
 
 def adjoint_generator_oracle(params, g):
-    """Image of a generator via exp(ad_A) on the 4-dimensional span."""
-    return AdjointImage(
-        *image_matrix(params, "oracle")[:, _BASIS_INDEX[g]].tolist())
+    """The (1, U, V, J) components of eta g eta^{-1} via exp(ad_A) on the
+    4-dimensional span: column g of `image_matrix(params, "oracle")`."""
+    return image_matrix(params, "oracle")[:, _BASIS_INDEX[g]]
 
 
 def adjoint_poly(params, p, route="closed"):
@@ -217,7 +194,8 @@ def adjoint_poly(params, p, route="closed"):
             f"polynomial theta {p.theta} != params theta {params.theta}"
         )
     s = image_matrix(params, route).T.tolist()
-    polys = [AdjointImage(*s[k]).as_poly(p.theta) for k in (1, 2, 3)]
+    polys = [OperatorPoly(dict(zip(_MONOMIALS, s[k])), p.theta)
+             for k in (1, 2, 3)]
 
     out = OperatorPoly.zero(p.theta)
     for (a, b, c), w in p.terms.items():

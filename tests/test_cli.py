@@ -730,8 +730,14 @@ def test_verify_subcommand(capsys, tmp_path):
     assert doc["fault"] == "adjoint-theta"
     assert not doc["passed"]
     checks = [c for s in doc["suites"] for c in s["checks"]]
-    failed = [c["name"] for c in checks if not c["passed"]]
-    assert failed == ["adjoint closed-form vs oracle"]
+    failed = [c for c in checks if not c["passed"]]
+    assert [c["name"] for c in failed] == ["adjoint closed-form vs oracle"]
+    # the report names the worst draw and generator
+    assert failed[0]["detail"] == (
+        "worst |closed - oracle| 4.521e-03 over 300 draws; offending draw "
+        "292, generator J, lam=-1.7101889819654095, rho=-1.800387825227721, "
+        "tau=-1.970946861571265, theta=-1.5974727169230154 "
+        "(fault injection active: theta_fault=0.001)")
 
 
 def test_missing_config_is_a_config_error():

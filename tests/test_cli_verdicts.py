@@ -313,6 +313,13 @@ def test_overflowing_coth_ratio_is_a_zero_denominator(argv, code, out, err,
      "--set", 'fixed={"mu3": 1, "mu4": 2}',
      "--set", 'axes=[{"name": "mu1", "min": -1, "max": 1, "steps": 3}]'],
     ["ep", "-c", "configs/ep_theta_sweep.json", "--set", "fixed.mu1=0"],
+    # neither end is 0, but bisection would walk into the singularity
+    ["ep", "--set", 'model="pt5-general"',
+     "--set", 'fixed={"mu2": -0.299, "mu3": -0.968, "mu4": -0.292, '
+              '"mu5": -0.431, "mu6": 0.431, "mu7": -1.961, "mu8": -1.536, '
+              '"mu9": -0.515}',
+     "--set", 'sweep={"name": "mu1", "min": -1.573, "max": 1.902}',
+     "--set", "theta=0"],
     ["hermitize", "-c", "configs/hermitize_special.json",
      "--set", "fixed.mu1=0"],
     ["hermitize", "--set", 'model="toy"',
@@ -320,8 +327,9 @@ def test_overflowing_coth_ratio_is_a_zero_denominator(argv, code, out, err,
     ["spectrum", "-c", "configs/spectrum_toy.json", "--set", "fixed.mu1=0"],
     ["spectrum", "--set", 'model="pt5-special"', "--set", "theta=1",
      "--set", 'fixed={"mu1": 0, "mu3": 1, "mu4": 2}'],
-], ids=["classify-fixed", "classify-axis", "ep-fixed", "hermitize-special",
-        "hermitize-toy", "spectrum-toy", "spectrum-special"])
+], ids=["classify-fixed", "classify-axis", "ep-fixed", "ep-bracket",
+        "hermitize-special", "hermitize-toy", "spectrum-toy",
+        "spectrum-special"])
 def test_zero_mu1_is_a_config_error(argv, capsys, monkeypatch):
     def no_point(*args, **kwargs):
         raise AssertionError("a point was computed")

@@ -21,9 +21,8 @@ def test_closed_matches_oracle_complex_params():
         params = DysonParams(lam=complex(vals[0]), rho=complex(vals[1]),
                              tau=complex(vals[2]), theta=float(vals[3].real))
         for g in ("U", "V", "J"):
-            worst = max(worst,
-                        adjoint_generator_closed(params, g).max_diff(
-                            adjoint_generator_oracle(params, g)))
+            worst = max(worst, np.abs(adjoint_generator_closed(params, g)
+                                      - adjoint_generator_oracle(params, g)).max())
     assert worst < 1e-11
 
 
@@ -36,22 +35,23 @@ def test_pinned_images():
     c2 = (1 - ch) / lam
     c3 = (1 - ch) / lam ** 2
 
-    img_u = adjoint_generator_closed(params, "U")
-    assert img_u.sU == pytest.approx(ch, abs=1e-14)
-    assert img_u.sV == pytest.approx(-1j * sh, abs=1e-14)
-    assert img_u.sJ == 0
-    assert img_u.s0 == pytest.approx(-rho * theta * c2 - 1j * tau * theta * s, abs=1e-14)
+    # each image is a column of (1, U, V, J) components
+    s0, sU, sV, sJ = adjoint_generator_closed(params, "U")
+    assert sU == pytest.approx(ch, abs=1e-14)
+    assert sV == pytest.approx(-1j * sh, abs=1e-14)
+    assert sJ == 0
+    assert s0 == pytest.approx(-rho * theta * c2 - 1j * tau * theta * s, abs=1e-14)
 
-    img_v = adjoint_generator_closed(params, "V")
-    assert img_v.sU == pytest.approx(1j * sh, abs=1e-14)
-    assert img_v.sV == pytest.approx(ch, abs=1e-14)
-    assert img_v.s0 == pytest.approx(-tau * theta * c2 + 1j * rho * theta * s, abs=1e-14)
+    s0, sU, sV, sJ = adjoint_generator_closed(params, "V")
+    assert sU == pytest.approx(1j * sh, abs=1e-14)
+    assert sV == pytest.approx(ch, abs=1e-14)
+    assert s0 == pytest.approx(-tau * theta * c2 + 1j * rho * theta * s, abs=1e-14)
 
-    img_j = adjoint_generator_closed(params, "J")
-    assert img_j.sJ == 1
-    assert img_j.sU == pytest.approx(-1j * tau * s + rho * c2, abs=1e-14)
-    assert img_j.sV == pytest.approx(1j * rho * s + tau * c2, abs=1e-14)
-    assert img_j.s0 == pytest.approx(theta * (rho ** 2 + tau ** 2) * c3, abs=1e-14)
+    s0, sU, sV, sJ = adjoint_generator_closed(params, "J")
+    assert sJ == 1
+    assert sU == pytest.approx(-1j * tau * s + rho * c2, abs=1e-14)
+    assert sV == pytest.approx(1j * rho * s + tau * c2, abs=1e-14)
+    assert s0 == pytest.approx(theta * (rho ** 2 + tau ** 2) * c3, abs=1e-14)
 
 
 def test_series_branch_is_continuous():
@@ -63,21 +63,21 @@ def test_series_branch_is_continuous():
             a = adjoint_generator_closed(inside, g)
             b = adjoint_generator_closed(outside, g)
             # images differ by O(|dlam|) across the seam, nothing worse
-            assert a.max_diff(b) < 5e-6
+            assert np.abs(a - b).max() < 5e-6
             # and the series branch agrees with the oracle to full precision
-            assert a.max_diff(adjoint_generator_oracle(inside, g)) < 1e-12
+            assert np.abs(a - adjoint_generator_oracle(inside, g)).max() < 1e-12
 
 
 def test_lambda_zero_exact():
     params = DysonParams(lam=0.0, rho=0.3, tau=0.6, theta=2.0)
-    img_j = adjoint_generator_closed(params, "J")
+    s0, sU, sV, _ = adjoint_generator_closed(params, "J")
     # at lam = 0: J - i tau U + i rho V - theta (rho^2 + tau^2)/2
-    assert img_j.sU == pytest.approx(-1j * 0.6, abs=1e-16)
-    assert img_j.sV == pytest.approx(1j * 0.3, abs=1e-16)
-    assert img_j.s0 == pytest.approx(-2.0 * (0.09 + 0.36) / 2, abs=1e-15)
+    assert sU == pytest.approx(-1j * 0.6, abs=1e-16)
+    assert sV == pytest.approx(1j * 0.3, abs=1e-16)
+    assert s0 == pytest.approx(-2.0 * (0.09 + 0.36) / 2, abs=1e-15)
     for g in ("U", "V"):
-        img = adjoint_generator_closed(params, g)
-        assert img.max_diff(adjoint_generator_oracle(params, g)) < 1e-13
+        assert np.abs(adjoint_generator_closed(params, g)
+                      - adjoint_generator_oracle(params, g)).max() < 1e-13
 
 
 def test_ad_matrix_layout():
